@@ -43,6 +43,7 @@ struct CacheLine
 
     bool valid() const { return state != Mesi::Invalid; }
     bool dirty() const { return state == Mesi::Modified; }
+    bool operator==(const CacheLine &) const = default;
 };
 
 /** Result of a fill: the line that was evicted, if any. */
@@ -119,6 +120,11 @@ class CacheArray
      * sets_ * ways_ real lines are serialized (geometry is
      * fingerprinted, not restored: the array must be constructed with
      * the same CacheParams first).
+     *
+     * Sparse (format v6, Archive::ioSparse): only lines that differ
+     * from CacheLine{} are listed.  That compares all three fields,
+     * not valid(): invalidate() keeps tag and lastUse, and those must
+     * round-trip too.
      */
     template <typename Ar>
     void
@@ -127,13 +133,16 @@ class CacheArray
         ar.ioExpect(sets_, "cache sets");
         ar.ioExpect(ways_, "cache ways");
         ar.ioExpect(lineBytes_, "cache line bytes");
-        const std::size_t n = static_cast<std::size_t>(sets_) * ways_;
-        for (std::size_t i = 0; i < n; ++i) {
-            CacheLine &cl = lines_[pad_ + i];
-            ar.io(cl.tag);
-            ar.ioEnum(cl.state, static_cast<Mesi>(4)); // one past Modified
-            ar.io(cl.lastUse);
-        }
+        // Entry: u32 index, u64 tag, u64 state (ioEnum), u64 lastUse.
+        ar.template ioSparse<std::uint32_t>(
+            lines_.data() + pad_, static_cast<std::size_t>(sets_) * ways_,
+            8 + 8 + 8,
+            [&](CacheLine &cl) {
+                ar.io(cl.tag);
+                ar.ioEnum(cl.state, static_cast<Mesi>(4)); // one past Modified
+                ar.io(cl.lastUse);
+            },
+            "cache line");
     }
 
   private:

@@ -41,8 +41,14 @@ class MainMemory
     /** Number of pages currently allocated (for tests/diagnostics). */
     std::size_t pageCount() const { return pages_.size(); }
 
-    /** Checkpoint hook: pages in sorted-key order, so the byte stream
-     *  is independent of unordered_map iteration order. */
+    /**
+     * Checkpoint hook: pages in sorted-key order, so the byte stream
+     * is independent of unordered_map iteration order (load rejects
+     * any other order).  Each page lists only its non-zero words
+     * (format v6, Archive::ioSparse); all-zero pages still list their
+     * key, so a restore re-creates every touched page (pageCount()
+     * survives).
+     */
     template <typename Ar>
     void
     serialize(Ar &ar)
@@ -55,18 +61,24 @@ class MainMemory
                 keys.push_back(kv.first);
             std::sort(keys.begin(), keys.end());
         }
-        std::uint64_t n = ar.ioSize(keys.size(), 8 + kWords * 8);
+        // u64 key + u64 word count.
+        std::uint64_t n = ar.ioSize(keys.size(), 8 + 8);
         if (ar.loading())
             pages_.clear();
+        Addr prev = 0;
         for (std::uint64_t i = 0; i < n; ++i) {
             Addr key = ar.saving() ? keys[i] : 0;
             ar.io(key);
+            Ar::check(i == 0 || key > prev, "page keys not ascending");
+            prev = key;
             Page &page = pages_[key]; // load: creates; save: exists
             if (ar.loading())
                 page.resize(kWords);
             Ar::check(page.size() == kWords, "bad page size");
-            for (auto &w : page)
-                ar.io(w);
+            // Entry: u16 word index, u64 value.
+            ar.template ioSparse<std::uint16_t>(
+                page.data(), kWords, 8, [&](RegVal &w) { ar.io(w); },
+                "page word");
         }
     }
 

@@ -288,6 +288,18 @@ Archive::io(std::string &v)
         get(v.data(), v.size());
 }
 
+void
+Archive::ioBytes(std::vector<std::uint8_t> &v)
+{
+    std::uint64_t n = ioSize(v.size());
+    if (loading())
+        v.resize(static_cast<std::size_t>(n));
+    if (saving())
+        put(v.data(), v.size());
+    else if (n > 0)
+        get(v.data(), v.size());
+}
+
 std::uint64_t
 Archive::ioSize(std::uint64_t n, std::uint64_t min_elem_bytes)
 {

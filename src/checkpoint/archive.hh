@@ -37,6 +37,7 @@
 #ifndef PITON_CHECKPOINT_ARCHIVE_HH
 #define PITON_CHECKPOINT_ARCHIVE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -70,8 +71,11 @@ inline constexpr char kMagic[8] = {'P', 'I', 'T', 'O', 'N', 'C', 'K', 'P'};
  *  sys.sampling section (interval-profiler state).
  *  v5: static per-tile duty gating — tileFreqMhz joins the sys.meta
  *  fingerprint and the sys.duty section carries the Bresenham
- *  accumulators of ungoverned placed runs. */
-inline constexpr std::uint32_t kFormatVersion = 5;
+ *  accumulators of ungoverned placed runs.
+ *  v6: sparse chip.mem and chip.memory — cache arrays list only lines
+ *  that differ from CacheLine{} (u32 index + fields), memory pages
+ *  only their non-zero words (u16 index + u64 value). */
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /** CRC32 (IEEE 802.3, reflected) of a byte range. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t len);
@@ -123,6 +127,9 @@ class Archive
     /** Raw IEEE-754 bit pattern (bit-exact round trip, incl. NaNs). */
     void io(double &v);
     void io(std::string &v);
+    /** Byte vector: an ioSize length (1 byte per element), then the
+     *  payload in one copy. */
+    void ioBytes(std::vector<std::uint8_t> &v);
 
     /** Enum through its underlying integer with an exclusive bound. */
     template <typename E>
@@ -144,6 +151,52 @@ class Archive
      * whose CRC happens to validate).
      */
     std::uint64_t ioSize(std::uint64_t n, std::uint64_t min_elem_bytes = 1);
+
+    /**
+     * Sparse array of `n` elements (format v6): the count of elements
+     * that differ from T{}, then (Index, element) pairs in strictly
+     * ascending index order, each element through `io_elem`, which
+     * encodes `elem_bytes` bytes.  Loading resets all `n` elements to
+     * T{} first and rejects a count above `n`, an index out of range
+     * or not ascending, and a listed element equal to T{}, so every
+     * accepted payload re-saves to the same bytes.  `what` names the
+     * element in error messages.
+     */
+    template <typename Index, typename T, typename IoElem>
+    void
+    ioSparse(T *items, std::size_t n, std::uint64_t elem_bytes,
+             IoElem io_elem, const char *what)
+    {
+        std::uint64_t live = 0;
+        if (saving())
+            live = static_cast<std::uint64_t>(std::count_if(
+                items, items + n, [](const T &x) { return x != T{}; }));
+        live = ioSize(live, sizeof(Index) + elem_bytes);
+        if (live > n)
+            throw CheckpointError(std::string(what)
+                                  + " count exceeds capacity");
+        if (loading())
+            std::fill(items, items + n, T{});
+        std::size_t next = 0; // lowest index the next entry may take
+        for (std::uint64_t k = 0; k < live; ++k) {
+            if (saving())
+                while (items[next] == T{})
+                    ++next;
+            auto idx = static_cast<Index>(next);
+            io(idx);
+            if (idx >= n)
+                throw CheckpointError(std::string(what)
+                                      + " index out of range");
+            if (idx < next)
+                throw CheckpointError(std::string(what)
+                                      + " indices not ascending");
+            io_elem(items[idx]);
+            if (items[idx] == T{})
+                throw CheckpointError(std::string(what)
+                                      + " listed at its default");
+            next = static_cast<std::size_t>(idx) + 1;
+        }
+    }
 
     /**
      * Loading: verify a value matches what the checkpoint was saved

@@ -236,11 +236,7 @@ IntervalProfiler::serializeClient(ckpt::Archive &ar)
     for (auto &v : prevBbv_)
         ar.io(v);
 
-    std::uint64_t ni = ar.ioSize(pendingImage_.size(), 1);
-    if (ar.loading())
-        pendingImage_.resize(static_cast<std::size_t>(ni));
-    for (auto &b : pendingImage_)
-        ar.io(b);
+    ar.ioBytes(pendingImage_);
 
     std::uint64_t nr = ar.ioSize(intervals_.size(), 1);
     if (ar.loading())
@@ -260,11 +256,7 @@ IntervalProfiler::serializeClient(ckpt::Archive &ar)
             rec.bbv.resize(static_cast<std::size_t>(nv));
         for (auto &v : rec.bbv)
             ar.io(v);
-        std::uint64_t nm = ar.ioSize(rec.image.size(), 1);
-        if (ar.loading())
-            rec.image.resize(static_cast<std::size_t>(nm));
-        for (auto &b : rec.image)
-            ar.io(b);
+        ar.ioBytes(rec.image);
     }
     if (ar.loading())
         tids_.ready = false; // re-resolve against whatever is attached

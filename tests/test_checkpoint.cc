@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -23,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/cache.hh"
+#include "arch/memory.hh"
 #include "arch/piton_chip.hh"
 #include "checkpoint/archive.hh"
 #include "governor/governor.hh"
@@ -440,6 +443,351 @@ TEST(CheckpointMalformed, RecorderRicherThanImageThrows)
     rec.defineSeries("custom.extra", telemetry::Unit::Count,
                      telemetry::Downsample::Sum);
     EXPECT_THROW(sys.restoreBytes(bytes), ckpt::CheckpointError);
+}
+
+// ---- sparse chip.mem / chip.memory encodings (format v6) -------------
+
+std::uint64_t
+getLe(const std::vector<std::uint8_t> &b, std::size_t at, std::size_t width)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < width; ++i)
+        v |= static_cast<std::uint64_t>(b.at(at + i)) << (8 * i);
+    return v;
+}
+
+void
+putLe(std::vector<std::uint8_t> &b, std::size_t at, std::size_t width,
+      std::uint64_t v)
+{
+    for (std::size_t i = 0; i < width; ++i)
+        b.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Where one section's CRC and payload sit inside an image. */
+struct SectionSpan
+{
+    std::size_t crcAt = 0;
+    std::size_t payloadAt = 0;
+    std::size_t length = 0;
+};
+
+/** Walk the section directory (magic, version, count; then per section
+ *  name length, name, payload length, CRC, payload). */
+SectionSpan
+findSection(const std::vector<std::uint8_t> &img, const std::string &name)
+{
+    std::size_t pos = sizeof(ckpt::kMagic) + 4;
+    const std::uint64_t count = getLe(img, pos, 4);
+    pos += 4;
+    for (std::uint64_t s = 0; s < count; ++s) {
+        const std::size_t name_len = getLe(img, pos, 4);
+        pos += 4;
+        const std::string got(img.begin() + pos,
+                              img.begin() + pos + name_len);
+        pos += name_len;
+        const std::size_t len = getLe(img, pos, 8);
+        pos += 8;
+        const SectionSpan span{pos, pos + 4, len};
+        pos += 4 + len;
+        if (got == name)
+            return span;
+    }
+    throw std::runtime_error("section not found: " + name);
+}
+
+/** Recompute a section's CRC so a payload edit reaches the decoder. */
+void
+fixCrc(std::vector<std::uint8_t> &img, const SectionSpan &span)
+{
+    putLe(img, span.crcAt, 4,
+          ckpt::crc32(&img[span.payloadAt], span.length));
+}
+
+/** Restore must fail with a CheckpointError naming `what`. */
+void
+expectRejected(const std::vector<std::uint8_t> &img, const char *what)
+{
+    sim::System sys(optsFor(true));
+    try {
+        sys.restoreBytes(img);
+        ADD_FAILURE() << "accepted an image that should fail: " << what;
+    } catch (const ckpt::CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+// chip.mem starts with the u32 tile count, then tile 0's L1I array
+// (default geometry: 16 KB of 32 B lines): u32 sets, u32 ways, u32 line
+// bytes, u64 entry count, then entries of u32 index, u64 tag, u64
+// state, u64 lastUse.
+constexpr std::size_t kL1iCountAt = 4 + 12;
+constexpr std::size_t kL1iEntriesAt = kL1iCountAt + 8;
+constexpr std::size_t kCacheEntryBytes = 4 + 8 + 8 + 8;
+constexpr std::uint64_t kL1iLines = 16 * 1024 / 32;
+
+// chip.memory: u64 page count, then per page u64 key, u64 word count,
+// and entries of u16 word index, u64 value.
+constexpr std::size_t kPage0CountAt = 8 + 8;
+constexpr std::size_t kPage0EntriesAt = kPage0CountAt + 8;
+constexpr std::size_t kWordEntryBytes = 2 + 8;
+constexpr std::uint64_t kPageWords = arch::MainMemory::kPageBytes / 8;
+
+/** The finished 25-tile x 2 T/C phased chip (built once: it is the
+ *  slowest fixture here). */
+const std::vector<std::uint8_t> &
+phasedChipImage()
+{
+    static const std::vector<std::uint8_t> image = [] {
+        sim::System sys(optsFor(true));
+        const auto programs = workloads::loadMicrobench(
+            sys, workloads::Microbench::Phased, 25, 2, 2);
+        const sim::CompletionResult res =
+            sys.runToCompletion(400'000'000ULL);
+        EXPECT_TRUE(res.completed);
+        return sys.saveBytes();
+    }();
+    return image;
+}
+
+/** A small image whose two lowest pages have every word non-zero, so
+ *  chip.memory page 0 holds a full 512-entry list with room behind it. */
+std::vector<std::uint8_t>
+denseMemoryImage()
+{
+    sim::System sys(optsFor(true));
+    const auto programs = workloads::loadMicrobench(
+        sys, workloads::Microbench::Int, 2, 1, 0);
+    sys.windowTruePowers(sys.options().cyclesPerSample);
+    arch::MainMemory &mem = sys.pitonChip().memory();
+    for (Addr a = 0; a < 2 * arch::MainMemory::kPageBytes; a += 8)
+        mem.write64(a, a + 1);
+    return sys.saveBytes();
+}
+
+std::vector<std::uint8_t>
+cacheImage(arch::CacheArray &cache)
+{
+    auto ar = ckpt::Archive::forSave();
+    ar.beginSection("cache");
+    cache.serialize(ar);
+    ar.endSection();
+    return ar.finish();
+}
+
+/** invalidate() keeps tag and lastUse; the sparse encoding lists such
+ *  a line (it differs from CacheLine{}) and restores it exactly, over
+ *  whatever the target array held before. */
+TEST(CheckpointSparse, InvalidatedLineKeepsTagAndLastUse)
+{
+    const config::PitonParams params;
+    arch::CacheArray cache(params.l1d);
+    cache.fill(0x1238, arch::Mesi::Shared, 77);
+    ASSERT_EQ(cache.invalidate(0x1238), arch::Mesi::Shared);
+    const auto img = cacheImage(cache);
+
+    const SectionSpan span = findSection(img, "cache");
+    const std::size_t at = span.payloadAt + 12;
+    ASSERT_EQ(span.length, 12u + 8u + kCacheEntryBytes);
+    EXPECT_EQ(getLe(img, at, 8), 1u);           // one listed line
+    EXPECT_EQ(getLe(img, at + 8, 4), cache.setOf(0x1238) * 4u); // way 0
+    EXPECT_EQ(getLe(img, at + 12, 8), 0x1230u); // tag kept
+    EXPECT_EQ(getLe(img, at + 20, 8), 0u);      // Invalid
+    EXPECT_EQ(getLe(img, at + 28, 8), 77u);     // lastUse kept
+
+    arch::CacheArray restored(params.l1d);
+    restored.fill(0x4560, arch::Mesi::Modified, 5); // must be cleared
+    auto ar = ckpt::Archive::forLoad(img);
+    ar.beginSection("cache");
+    restored.serialize(ar);
+    ar.endSection();
+    EXPECT_EQ(restored.validCount(), 0u);
+    EXPECT_EQ(cacheImage(restored), img);
+}
+
+/** The same at system level: a coherence invalidation leaves tile 0's
+ *  L1D copy invalid with its tag and LRU stamp, and the restored
+ *  system re-saves to the original bytes. */
+TEST(CheckpointSparse, CoherenceInvalidatedL1dLineRoundTrips)
+{
+    sim::System sys(optsFor(true));
+    arch::MemorySystem &ms = sys.pitonChip().memSystem();
+    constexpr Addr kAddr = 0x40000;
+    RegVal data = 0;
+    ms.load(0, kAddr, data, 100);
+    ASSERT_NE(ms.probeL1d(0, kAddr), arch::Mesi::Invalid);
+    ms.store(1, kAddr, 7, 200);
+    ASSERT_EQ(ms.probeL1d(0, kAddr), arch::Mesi::Invalid);
+    const auto img = sys.saveBytes();
+
+    sim::System resumed(optsFor(true));
+    resumed.restoreBytes(img);
+    EXPECT_EQ(resumed.pitonChip().memSystem().probeL1d(0, kAddr),
+              arch::Mesi::Invalid);
+    EXPECT_EQ(resumed.saveBytes(), img);
+}
+
+/** A page written and then zeroed has no listed words but keeps its
+ *  key: pageCount() survives the restore. */
+TEST(CheckpointSparse, ZeroedPageStaysAllocated)
+{
+    sim::System sys(optsFor(true));
+    arch::MainMemory &mem = sys.pitonChip().memory();
+    constexpr Addr kAddr = 0x7'0000'0000ULL;
+    mem.write64(kAddr, 42);
+    mem.write64(kAddr, 0);
+    const std::size_t pages = mem.pageCount();
+    const auto img = sys.saveBytes();
+
+    sim::System resumed(optsFor(true));
+    resumed.restoreBytes(img);
+    EXPECT_EQ(resumed.pitonChip().memory().pageCount(), pages);
+    EXPECT_EQ(resumed.pitonChip().memory().read64(kAddr), 0u);
+    EXPECT_EQ(resumed.saveBytes(), img);
+}
+
+TEST(CheckpointSparse, PhasedChipReSavesIdentically)
+{
+    const auto &img = phasedChipImage();
+    sim::System resumed(optsFor(true));
+    resumed.restoreBytes(img);
+    EXPECT_EQ(resumed.saveBytes(), img);
+}
+
+/** Size guard: the finished phased chip was 1.7 MiB with every cache
+ *  line and page word written out, and is about 58 KiB sparse. */
+TEST(CheckpointSparse, PhasedChipImageIsSmall)
+{
+    EXPECT_LT(phasedChipImage().size(), 128u * 1024u);
+}
+
+TEST(CheckpointSparseMalformed, CacheIndexOutOfOrderThrows)
+{
+    auto img = smallImage();
+    const SectionSpan span = findSection(img, "chip.mem");
+    ASSERT_GE(getLe(img, span.payloadAt + kL1iCountAt, 8), 2u);
+    const std::size_t e0 = span.payloadAt + kL1iEntriesAt;
+    const std::size_t e1 = e0 + kCacheEntryBytes;
+    const std::uint64_t i0 = getLe(img, e0, 4);
+    const std::uint64_t i1 = getLe(img, e1, 4);
+    putLe(img, e0, 4, i1);
+    putLe(img, e1, 4, i0);
+    fixCrc(img, span);
+    expectRejected(img, "cache line indices not ascending");
+}
+
+TEST(CheckpointSparseMalformed, CacheIndexRepeatedThrows)
+{
+    auto img = smallImage();
+    const SectionSpan span = findSection(img, "chip.mem");
+    ASSERT_GE(getLe(img, span.payloadAt + kL1iCountAt, 8), 2u);
+    const std::size_t e0 = span.payloadAt + kL1iEntriesAt;
+    putLe(img, e0 + kCacheEntryBytes, 4, getLe(img, e0, 4));
+    fixCrc(img, span);
+    expectRejected(img, "cache line indices not ascending");
+}
+
+TEST(CheckpointSparseMalformed, CacheIndexOutOfRangeThrows)
+{
+    auto img = smallImage();
+    const SectionSpan span = findSection(img, "chip.mem");
+    ASSERT_GE(getLe(img, span.payloadAt + kL1iCountAt, 8), 1u);
+    putLe(img, span.payloadAt + kL1iEntriesAt, 4, kL1iLines); // sets*ways
+    fixCrc(img, span);
+    expectRejected(img, "cache line index out of range");
+}
+
+TEST(CheckpointSparseMalformed, CacheCountAboveCapacityThrows)
+{
+    // The phased chip's chip.mem has room for kL1iLines + 1 entries
+    // behind the count, so the capacity check (not the section-size
+    // guard) is what rejects it.
+    auto img = phasedChipImage();
+    const SectionSpan span = findSection(img, "chip.mem");
+    ASSERT_GT(span.length, kL1iEntriesAt + (kL1iLines + 1) * kCacheEntryBytes);
+    putLe(img, span.payloadAt + kL1iCountAt, 8, kL1iLines + 1);
+    fixCrc(img, span);
+    expectRejected(img, "cache line count exceeds capacity");
+}
+
+TEST(CheckpointSparseMalformed, PageWordIndexOutOfOrderThrows)
+{
+    auto img = denseMemoryImage();
+    const SectionSpan span = findSection(img, "chip.memory");
+    ASSERT_EQ(getLe(img, span.payloadAt + kPage0CountAt, 8), kPageWords);
+    const std::size_t e0 = span.payloadAt + kPage0EntriesAt;
+    const std::size_t e1 = e0 + kWordEntryBytes;
+    putLe(img, e0, 2, 1);
+    putLe(img, e1, 2, 0);
+    fixCrc(img, span);
+    expectRejected(img, "page word indices not ascending");
+}
+
+TEST(CheckpointSparseMalformed, PageWordIndexOutOfRangeThrows)
+{
+    auto img = denseMemoryImage();
+    const SectionSpan span = findSection(img, "chip.memory");
+    ASSERT_EQ(getLe(img, span.payloadAt + kPage0CountAt, 8), kPageWords);
+    const std::size_t last =
+        span.payloadAt + kPage0EntriesAt + (kPageWords - 1) * kWordEntryBytes;
+    putLe(img, last, 2, kPageWords);
+    fixCrc(img, span);
+    expectRejected(img, "page word index out of range");
+}
+
+TEST(CheckpointSparseMalformed, PageWordCountAbovePageSizeThrows)
+{
+    auto img = denseMemoryImage();
+    const SectionSpan span = findSection(img, "chip.memory");
+    ASSERT_GT(span.length,
+              kPage0EntriesAt + (kPageWords + 1) * kWordEntryBytes);
+    putLe(img, span.payloadAt + kPage0CountAt, 8, kPageWords + 1);
+    fixCrc(img, span);
+    expectRejected(img, "page word count exceeds capacity");
+}
+
+/** Seeded mutations of real chip.mem and chip.memory payloads, CRC
+ *  fixed up each time: restore either succeeds or throws
+ *  CheckpointError, never anything worse.  chip.memory is fully
+ *  canonical, so an accepted mutation of it must also re-save to the
+ *  mutated bytes. */
+TEST(CheckpointSparseMalformed, SeededPayloadMutationsFailCleanly)
+{
+    const auto base = denseMemoryImage();
+    std::mt19937_64 rng(0x5EED'C6);
+    std::size_t rejected = 0, accepted = 0;
+    for (int iter = 0; iter < 160; ++iter) {
+        const bool memory = iter % 2 == 1;
+        auto img = base;
+        const SectionSpan span =
+            findSection(img, memory ? "chip.memory" : "chip.mem");
+        const std::size_t width = std::size_t{1} << (rng() % 4); // 1..8
+        const std::size_t off = rng() % (span.length - width + 1);
+        std::uint64_t value = 0;
+        switch (rng() % 4) {
+          case 0: value = getLe(img, span.payloadAt + off, width) ^ 1; break;
+          case 1: value = 0; break;
+          case 2: value = ~std::uint64_t{0}; break;
+          default: value = rng(); break;
+        }
+        putLe(img, span.payloadAt + off, width, value);
+        fixCrc(img, span);
+        sim::System sys(optsFor(true));
+        try {
+            sys.restoreBytes(img);
+            ++accepted;
+            if (memory) {
+                EXPECT_EQ(sys.saveBytes(), img)
+                    << "accepted chip.memory mutation re-saved differently"
+                    << " (iteration " << iter << ")";
+            }
+        } catch (const ckpt::CheckpointError &) {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(accepted, 0u);
 }
 
 // ---- sharded-engine state: round trip, corruption, reset -------------
