@@ -77,6 +77,26 @@ BENCHMARK(BM_FullChipInt)
     ->Arg(8)
     ->UseRealTime();
 
+/**
+ * A partly loaded chip: 4 cores x 1 T/C HP, the shape of a service
+ * MeasurePower/EnergyRun miss and of Fig. 13/14's small points.  Its
+ * one-thread cores issue ALU stretches with stores in flight, and its
+ * charge replay walks 4 of 25 logs (DESIGN.md §9).  An item is one
+ * core-cycle (chip cycles x 4).
+ */
+void
+BM_PartialChipHP(benchmark::State &state)
+{
+    sim::System sys;
+    const auto programs = workloads::loadMicrobench(
+        sys, workloads::Microbench::HP, 4, 1, /*iterations=*/0);
+    sys.pitonChip().run(50000);
+    for (auto _ : state)
+        sys.pitonChip().run(5000);
+    state.SetItemsProcessed(state.iterations() * 5000 * 4);
+}
+BENCHMARK(BM_PartialChipHP);
+
 void
 BM_MemorySystemL2Miss(benchmark::State &state)
 {

@@ -256,12 +256,11 @@ Core::tick(Cycle now)
 Core::AheadResult
 Core::runAhead(Cycle from, Cycle lim)
 {
-    // The burst loop assumes plain round-robin between two ready
-    // threads and an empty store buffer; anything else takes the
-    // generic per-cycle loop.
-    if (!execDrafting_ && !trace_ && sbCount_ == 0 && threads_.size() == 2
-        && threads_[0].status == ThreadStatus::Ready
-        && threads_[1].status == ThreadStatus::Ready)
+    // The burst loop covers plain round-robin over at most two thread
+    // slots; only Execution Drafting's MinPC picker and draft tracking
+    // need the generic per-cycle loop (a trace hook, which the burst
+    // does not call, keeps the chip off run-ahead altogether).
+    if (!execDrafting_ && !trace_ && threads_.size() <= 2)
         return runAheadBurst(from, lim);
     return runAheadGeneric(from, lim);
 }
@@ -293,7 +292,15 @@ Core::AheadResult
 Core::runAheadBurst(Cycle from, Cycle lim)
 {
     AheadResult r;
-    ThreadState *const th[2] = {&threads_[0], &threads_[1]};
+    ThreadState *const th[2] = {
+        &threads_[0], threads_.size() == 2 ? &threads_[1] : nullptr};
+    // Local issue times: a slot that is not Ready (idle, halted or
+    // absent on a one-thread core) never issues, so it reads kNever.
+    // Status only changes on a halt, which sets its slot to kNever.
+    Cycle ready[2] = {kNever, kNever};
+    for (std::size_t i = 0; i < threads_.size(); ++i)
+        if (threads_[i].status == ThreadStatus::Ready)
+            ready[i] = threads_[i].readyAt;
     // Scaling the switch energy is deterministic, so hoisting it out
     // of the loop keeps the charged bits identical.
     const power::RailEnergy switch_e =
@@ -305,97 +312,103 @@ Core::runAheadBurst(Cycle from, Cycle lim)
         // the last issuer first.  `cur` is always a cycle where at
         // least one thread is ready, so the fallback pick is ready.
         std::uint32_t pick = last ^ 1u;
-        if (th[pick]->readyAt > cur)
+        if (ready[pick] > cur)
             pick = last;
         ThreadState &t = *th[pick];
 
-        // Exit to the generic loop for anything but a core-local
-        // ALU/branch issue: tickImpl re-picks the same thread (nothing
-        // below mutates its inputs before this point).
+        // Pause before anything that would touch MemorySystem (the
+        // cases sharedPick names): resumeShared's tick re-picks the
+        // same thread, since nothing above mutates its inputs, and
+        // drains the store buffer at `cur`, past every cycle ticked
+        // here.
         if (t.pc >= t.program->size())
             break;
         const isa::DecodedInst &d = t.program->decoded(t.pc);
-        switch (d.kind) {
-          case isa::IssueKind::Alu:
-          case isa::IssueKind::Branch:
+        if (d.kind == isa::IssueKind::Load || d.kind == isa::IssueKind::Store
+            || d.kind == isa::IssueKind::Cas)
             break;
-          default:
-            goto generic; // load/store/CAS (shared) or halt (rare)
+        const Addr fline = d.pc & l1iLineMask_;
+        CacheLine *const cl = t.fetchRef;
+        const bool filter_hit = cl && t.fetchLine == fline
+                                && cl->tag == fline && cl->valid();
+        if (!filter_hit && !mem_.l1iResident(tile_, fline))
+            break; // I-fetch miss
+
+        // Committed to this issue: replicate tickImpl's per-cycle
+        // charge order (thread switch, fetch, exec).
+        const std::uint32_t pc_issue = t.pc;
+        capCycle_ = cur;
+        if (pick != last) {
+            ++threadSwitches_;
+            charge(power::Category::Exec, switch_e);
         }
-        {
-            const Addr fline = d.pc & l1iLineMask_;
-            CacheLine *const cl = t.fetchRef;
-            const bool filter_hit = cl && t.fetchLine == fline
-                                    && cl->tag == fline && cl->valid();
-            if (!filter_hit && !mem_.l1iResident(tile_, fline))
-                break; // I-fetch miss: a shared op
+        last = pick;
 
-            // Committed to this issue: replicate tickImpl's per-cycle
-            // charge order (thread switch, fetch, exec).
-            const std::uint32_t pc_issue = t.pc;
-            capCycle_ = cur;
-            if (pick != last) {
-                ++threadSwitches_;
-                charge(power::Category::Exec, switch_e);
-            }
-            last = pick;
-
-            if (filter_hit) [[likely]] {
-                cl->lastUse = cur;
-            } else {
-                const std::uint32_t extra = mem_.ifetch(tile_, d.pc, cur);
-                piton_assert(extra == 0,
-                             "resident L1I line missed in ifetch");
-                t.fetchLine = fline;
-                t.fetchRef = mem_.l1iLine(tile_, fline);
-            }
-
-            const isa::InstClass cls = d.cls;
-            if (d.kind == isa::IssueKind::Branch) {
-                chargeExec(cls, t.cc.zero, t.cc.negative);
-                const bool taken = isa::branchTaken(d.op, t.cc);
-                t.pc = taken ? d.target : t.pc + 1;
-            } else {
-                const auto &srcs = d.fp ? t.fregs : t.regs;
-                const RegVal rs1 = srcs[d.rs1];
-                const RegVal rs2 = d.useImm ? static_cast<RegVal>(d.imm)
-                                            : srcs[d.rs2];
-                chargeExec(cls, rs1, rs2);
-                const isa::AluResult res = isa::evalAluOp(
-                    d.op, d.imm, rs1, rs2, hwidBase_ + pick);
-                if (res.writesRd && (d.fp || d.rd != 0)) {
-                    auto &dsts = d.fp ? t.fregs : t.regs;
-                    dsts[d.rd] = res.value;
-                }
-                if (res.setsCc)
-                    t.cc = res.cc;
-                ++t.pc;
-            }
-            ++t.classCounts[static_cast<std::size_t>(cls)];
-            t.readyAt = cur + d.latency;
-            ++t.instsExecuted;
-            if (bbvShift_ != 0)
-                noteBbv(pick, pc_issue);
-
-            r.last = cur;
-            r.ticked = true;
-            const Cycle next = std::max(
-                cur + 1, std::min(th[0]->readyAt, th[1]->readyAt));
-            if (next >= lim) {
-                lastIssued_ = last;
-                r.next = next;
-                return r;
-            }
-            cur = next;
+        if (filter_hit) [[likely]] {
+            cl->lastUse = cur;
+        } else {
+            const std::uint32_t extra = mem_.ifetch(tile_, d.pc, cur);
+            piton_assert(extra == 0, "resident L1I line missed in ifetch");
+            t.fetchLine = fline;
+            t.fetchRef = mem_.l1iLine(tile_, fline);
         }
+
+        const isa::InstClass cls = d.cls;
+        switch (d.kind) {
+          case isa::IssueKind::Branch: {
+            chargeExec(cls, t.cc.zero, t.cc.negative);
+            const bool taken = isa::branchTaken(d.op, t.cc);
+            t.pc = taken ? d.target : t.pc + 1;
+            t.readyAt = ready[pick] = cur + d.latency;
+            break;
+          }
+          case isa::IssueKind::Halt:
+            t.status = ThreadStatus::Halted;
+            ready[pick] = kNever;
+            break;
+          default: {
+            const auto &srcs = d.fp ? t.fregs : t.regs;
+            const RegVal rs1 = srcs[d.rs1];
+            const RegVal rs2 =
+                d.useImm ? static_cast<RegVal>(d.imm) : srcs[d.rs2];
+            chargeExec(cls, rs1, rs2);
+            const isa::AluResult res = isa::evalAluOp(
+                d.op, d.imm, rs1, rs2, hwidBase_ + pick);
+            if (res.writesRd && (d.fp || d.rd != 0)) {
+                auto &dsts = d.fp ? t.fregs : t.regs;
+                dsts[d.rd] = res.value;
+            }
+            if (res.setsCc)
+                t.cc = res.cc;
+            ++t.pc;
+            t.readyAt = ready[pick] = cur + d.latency;
+            break;
+          }
+        }
+        ++t.classCounts[static_cast<std::size_t>(cls)];
+        ++t.instsExecuted;
+        if (bbvShift_ != 0)
+            noteBbv(pick, pc_issue);
+
+        r.last = cur;
+        r.ticked = true;
+        const Cycle next = std::max(cur + 1, std::min(ready[0], ready[1]));
+        if (next >= lim) {
+            // tickImpl drains the store buffer on every tick; ALU,
+            // branch and halt issue never read it and drains are
+            // monotone in time, so one drain at the last ticked cycle
+            // leaves the identical buffer.
+            drainStoreBuffer(cur);
+            lastIssued_ = last;
+            r.next = next; // kNever once every slot has halted
+            return r;
+        }
+        cur = next;
     }
-  generic:
     lastIssued_ = last;
-    AheadResult g = runAheadGeneric(cur, lim);
-    if (r.ticked && (!g.ticked || g.last < r.last))
-        g.last = r.last;
-    g.ticked = g.ticked || r.ticked;
-    return g;
+    r.next = cur;
+    r.paused = true;
+    return r;
 }
 
 Core::AheadResult

@@ -199,6 +199,7 @@ class Core
      * the chip can execute shared-memory ops in global (cycle, core)
      * order.  Energy charges are expected to be captured by the ledger
      * (EnergyLedger::beginCapture) and replayed in global order.
+     * Takes runAheadBurst unless Execution Drafting is on.
      */
     AheadResult runAhead(Cycle from, Cycle lim);
 
@@ -327,17 +328,23 @@ class Core
      *  MRU filter and the tile's own L1I. */
     bool sharedPick(const ThreadState &t) const;
 
-    /** The general per-cycle run-ahead loop (tickImpl<true> per event). */
+    /** The general per-cycle run-ahead loop (tickImpl<true> per
+     *  event), for Execution Drafting's MinPC picker and draft
+     *  tracking. */
     AheadResult runAheadGeneric(Cycle from, Cycle lim);
 
     /**
-     * Specialized run-ahead for the steady state of the fast path:
-     * two ready threads, no Execution Drafting, no pending stores.
-     * Executes ALU/branch instructions whose fetch stays core-local in
-     * a tight loop that skips the pick scan, store-buffer drain and
-     * next-event recomputation of the generic path, falling back to
-     * runAheadGeneric at the first event it cannot prove equivalent.
-     * Charge order per cycle (switch, fetch, exec) matches tickImpl.
+     * Run-ahead for every core without Execution Drafting and with at
+     * most two thread slots, whatever its thread status or store-buffer
+     * occupancy.  A slot that is not Ready reads as never ready in a
+     * local copy of the issue times.  Executes ALU/branch/halt
+     * instructions whose fetch stays core-local in a tight loop that
+     * skips the pick scan, per-tick store-buffer drain and next-event
+     * recomputation of the generic path, and pauses before a load,
+     * store, CAS or I-fetch miss exactly where tickImpl<true> would.
+     * The buffer is drained once, at the last ticked cycle, when the
+     * slice ends (a pause leaves that to resumeShared's tick).  Charge
+     * order per cycle (switch, fetch, exec) matches tickImpl.
      */
     AheadResult runAheadBurst(Cycle from, Cycle lim);
 

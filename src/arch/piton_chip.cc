@@ -361,7 +361,8 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
     // the exact add order of in-order stepping, so the ledger's
     // floating-point sums are bit-identical to the legacy path.  Each
     // core's log is already sorted by cycle; the walk visits the
-    // distinct charge cycles (as offsets from `start`), skipping gaps.
+    // distinct charge cycles (as offsets from `start`), skipping gaps,
+    // and per cycle only the logs that still hold entries.
     //
     // Sharded rounds split the replay: the category/total merge is one
     // global FP chain and must stay a serial scan, while the per-tile
@@ -452,7 +453,7 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
         });
     } else {
         ledger_.replayCaptures(
-            chargeLogs_, logPos_,
+            chargeLogs_, replayCursors_,
             [this](std::size_t i, const power::RailEnergy &e) {
                 tileEnergy_.add(i, e);
             });

@@ -251,7 +251,7 @@ class PitonChip
      *  captured-charge logs, replay cursors, and the pending
      *  shared-op min-heap keyed (cycle, core index). */
     std::vector<std::vector<power::CapturedCharge>> chargeLogs_;
-    std::vector<std::size_t> logPos_;
+    std::vector<power::ReplayCursor> replayCursors_;
     std::vector<std::pair<Cycle, std::size_t>> pauseHeap_;
     /** Sharded phase-3 merge scratch (persistent for capacity): the
      *  ping/pong arrays of the parallel stable tree merge and the

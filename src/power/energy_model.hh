@@ -279,6 +279,14 @@ struct CapturedCharge
 static_assert(sizeof(CapturedCharge) == 32,
               "capture entries stream through caches on the hot path");
 
+/** One log with entries left in EnergyLedger::replayCaptures' walk. */
+struct ReplayCursor
+{
+    const CapturedCharge *next; ///< first entry not yet replayed
+    const CapturedCharge *end;
+    std::size_t actor;          ///< index of the log (core) it walks
+};
+
 /**
  * Tag bit in CapturedCharge::cat: the charge also belongs to the
  * issuing core's per-tile accumulator (Core::coreEnergy).  Deferring
@@ -434,9 +442,13 @@ class EnergyLedger
      * exact add order in-order stepping would have used, so the
      * accumulator sums come out bit-identical.  `logs` is one sorted
      * log per actor (ascending cycleDelta); ties replay in actor
-     * order.  `pos` is scratch, resized and reset here.  Entries
-     * tagged kCapturedCoreBit are also handed to `coreSink(actor, e)`
-     * for the actor's own accumulator.
+     * order.  Entries tagged kCapturedCoreBit are also handed to
+     * `coreSink(actor, e)` for the actor's own accumulator.
+     *
+     * The walk keeps cursors only for logs with entries left, in actor
+     * order (`active` is caller-owned scratch, rebuilt here): a round
+     * in which a few of many actors ran visits only those logs per
+     * distinct cycle, and a cursor drops out once its log is spent.
      *
      * Defined inline so the running total stays in registers across
      * the whole walk instead of round-tripping through memory on
@@ -444,52 +456,41 @@ class EnergyLedger
      */
     template <typename Logs, typename CoreSink>
     void
-    replayCaptures(const Logs &logs, std::vector<std::size_t> &pos,
+    replayCaptures(const Logs &logs, std::vector<ReplayCursor> &active,
                    CoreSink &&coreSink)
     {
-        const std::size_t n = logs.size();
-        pos.assign(n, 0);
-        RailEnergy tot = total_; // register-resident chain
         constexpr std::uint32_t kNoDelta = ~std::uint32_t{0};
-        std::uint32_t d = 0;
-        for (;;) {
+        std::uint32_t d = kNoDelta;
+        active.clear();
+        for (std::size_t i = 0; i < logs.size(); ++i) {
+            const auto &log = logs[i];
+            if (log.empty())
+                continue;
+            active.push_back({log.data(), log.data() + log.size(), i});
+            d = std::min(d, log.front().cycleDelta);
+        }
+        RailEnergy tot = total_; // register-resident chain
+        while (!active.empty()) {
             std::uint32_t next_d = kNoDelta;
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto &log = logs[i];
-                std::size_t &p = pos[i];
-                while (p < log.size() && log[p].cycleDelta == d) {
-                    const std::uint8_t cat = log[p].cat;
-                    const RailEnergy &e = log[p].e;
+            std::size_t kept = 0;
+            for (ReplayCursor c : active) {
+                for (; c.next != c.end && c.next->cycleDelta == d; ++c.next) {
+                    const std::uint8_t cat = c.next->cat;
+                    const RailEnergy &e = c.next->e;
                     byCat_[cat & (kCapturedCoreBit - 1)] += e;
                     tot += e;
                     if (cat & kCapturedCoreBit)
-                        coreSink(i, e);
-                    ++p;
+                        coreSink(c.actor, e);
                 }
-                if (p < log.size() && log[p].cycleDelta < next_d)
-                    next_d = log[p].cycleDelta;
+                if (c.next == c.end)
+                    continue; // spent: drop the cursor
+                next_d = std::min(next_d, c.next->cycleDelta);
+                active[kept++] = c;
             }
-            if (next_d == kNoDelta)
-                break;
+            active.resize(kept);
             d = next_d;
         }
         total_ = tot;
-    }
-
-    /**
-     * The category/total half of replayCaptures only: the per-actor
-     * kCapturedCoreBit sums are left for the caller to apply from the
-     * same logs (the sharded engine computes them in parallel while
-     * this serial merge runs — each actor's accumulator depends only on
-     * its own log's order, so splitting the two walks preserves every
-     * FP add chain bit for bit; DESIGN.md §12).
-     */
-    template <typename Logs>
-    void
-    replayCategoryCaptures(const Logs &logs, std::vector<std::size_t> &pos)
-    {
-        replayCaptures(logs, pos,
-                       [](std::size_t, const RailEnergy &) {});
     }
 
     /**
@@ -498,8 +499,8 @@ class EnergyLedger
      * (cycle, actor)-ordered array in parallel (a stable tree merge,
      * PitonChip::runAheadRound phase 3), so the serial residue shrinks
      * to this linear scan.  The walk performs the identical double
-     * additions in the identical order as replayCategoryCaptures over
-     * the unmerged logs — merging only changes *where* the entries
+     * additions in the identical order as replayCaptures over the
+     * unmerged logs — merging only changes *where* the entries
      * live, never the (cycle, actor) visit order — so the sums stay
      * bit-identical at every engine thread count.
      */

@@ -884,6 +884,100 @@ TEST(CheckpointSharded, ResetEnergyClearsShardState)
             ledger.total().get(static_cast<power::Rail>(rail)), 0.0);
 }
 
+// ---- burst issue with stores in flight -------------------------------
+
+/**
+ * A partly loaded 4-core x 1 T/C HP chip runs its ALU stretches in the
+ * burst loop with stores still in flight, and the burst drains the
+ * store buffer once on exit instead of on every tick.  A checkpoint at
+ * a window boundary with stores in flight must resume bit-identically
+ * at engineThreads 1, 2 and 8, and re-save byte for byte.  A traced
+ * run (which ticks every core at each of its event cycles, draining
+ * every time) must save the same image, so the deferred drain leaves
+ * the store-buffer state a per-tick drain would.
+ */
+TEST(CheckpointBurst, StoresInFlightResumeAtAnyThreadCount)
+{
+    constexpr std::uint32_t kCores = 4;
+    constexpr std::uint32_t kTotalWindows = 12;
+    const auto load = [](sim::System &sys) {
+        return workloads::loadMicrobench(sys, workloads::Microbench::HP,
+                                         kCores, 1, 0);
+    };
+    const auto storesInFlight = [](sim::System &sys) {
+        const auto &chip = sys.pitonChip();
+        std::size_t depth = 0;
+        for (TileId t = 0; t < kCores; ++t)
+            depth += chip.core(t).storeBufferDepth(chip.now());
+        return depth;
+    };
+
+    // The first window boundary with a store in flight (a pure
+    // function of the workload, so every run below stops there).
+    std::uint32_t at = 0;
+    {
+        sim::System sys(shardedOpts(1));
+        const auto programs = load(sys);
+        SystemFingerprint scratch;
+        while (at < kTotalWindows - 1 && storesInFlight(sys) == 0) {
+            recordWindows(sys, 1, scratch);
+            ++at;
+        }
+        ASSERT_GT(storesInFlight(sys), 0u)
+            << "no window boundary with a store in flight";
+        ASSERT_GT(at, 0u);
+    }
+
+    std::vector<std::uint8_t> traced;
+    {
+        sim::System sys(shardedOpts(1));
+        const auto programs = load(sys);
+        telemetry::TelemetryRecorder rec;
+        sys.attachTelemetry(&rec);
+        sys.pitonChip().setTraceHook(
+            [](TileId, ThreadId, Cycle, Addr, const isa::Instruction &) {});
+        SystemFingerprint scratch;
+        recordWindows(sys, at, scratch);
+        sys.pitonChip().setTraceHook({});
+        traced = sys.saveBytes();
+    }
+
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        SystemFingerprint straight;
+        {
+            sim::System sys(shardedOpts(threads));
+            const auto programs = load(sys);
+            telemetry::TelemetryRecorder rec;
+            sys.attachTelemetry(&rec);
+            recordWindows(sys, kTotalWindows, straight);
+            finishFingerprint(sys, rec, straight);
+        }
+
+        SystemFingerprint fp;
+        std::vector<std::uint8_t> bytes;
+        {
+            sim::System sys(shardedOpts(threads));
+            const auto programs = load(sys);
+            telemetry::TelemetryRecorder rec;
+            sys.attachTelemetry(&rec);
+            recordWindows(sys, at, fp);
+            EXPECT_GT(storesInFlight(sys), 0u);
+            bytes = sys.saveBytes();
+        }
+        EXPECT_EQ(bytes, traced);
+
+        sim::System resumed(shardedOpts(threads));
+        telemetry::TelemetryRecorder rec;
+        resumed.attachTelemetry(&rec);
+        resumed.restoreBytes(bytes);
+        EXPECT_EQ(resumed.saveBytes(), bytes);
+        recordWindows(resumed, kTotalWindows - at, fp);
+        finishFingerprint(resumed, rec, fp);
+        EXPECT_TRUE(fp == straight);
+    }
+}
+
 // ---- governed checkpoints (format v3: sys.governor section) ----------
 
 governor::GovernorParams

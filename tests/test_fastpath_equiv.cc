@@ -17,6 +17,8 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -159,6 +161,133 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(),
                        ::testing::Values(1u, 2u, 8u)),
     equivParamName);
+
+/**
+ * Load a chip with `load(sys)` (its return value keeps the programs
+ * alive), run it for `cycles` on the legacy engine and on the fast
+ * engine at 1, 2 and 8 threads, and expect every fingerprint to match
+ * the legacy one, which is returned for extra checks.
+ */
+template <typename Load>
+RunFingerprint
+expectBitIdenticalAtAllThreadCounts(sim::SystemOptions opts, Cycle cycles,
+                                    Load &&load)
+{
+    const auto run = [&](bool fast_path, unsigned engine_threads) {
+        opts.fastPath = fast_path;
+        opts.engineThreads = engine_threads;
+        sim::System sys(opts);
+        [[maybe_unused]] const auto programs = load(sys);
+        const auto r = sys.pitonChip().run(cycles);
+        return fingerprint(sys.pitonChip(), r);
+    };
+    const RunFingerprint legacy = run(false, 1);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expectEqualFingerprints(run(true, threads), legacy);
+    }
+    return legacy;
+}
+
+/** (cores, threads per core) of a partly loaded chip. */
+using ChipShape = std::pair<std::uint32_t, std::uint32_t>;
+
+/** (microbench, shape): the partly loaded chips of Fig. 13/14 and the
+ *  service's requests.  One-thread cores, cores with an idle sibling
+ *  slot and chips where few cores share a cycle all take the burst
+ *  loop; each shape runs the engine at 1, 2 and 8 threads against the
+ *  legacy baseline (25 x 2 is FastPathEquivalence's shape). */
+using ShapeParam = std::tuple<workloads::Microbench, ChipShape>;
+
+class PartialChipEquivalence : public ::testing::TestWithParam<ShapeParam>
+{
+};
+
+TEST_P(PartialChipEquivalence, ShapeIsBitIdentical)
+{
+    const auto [bench, shape] = GetParam();
+    const auto [cores, tpc] = shape;
+    const auto legacy =
+        expectBitIdenticalAtAllThreadCounts({}, 30000, [&](sim::System &sys) {
+            return workloads::loadMicrobench(sys, bench, cores, tpc, 0);
+        });
+    EXPECT_GT(legacy.totalInsts, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PartialChips, PartialChipEquivalence,
+    ::testing::Combine(::testing::Values(workloads::Microbench::Int,
+                                         workloads::Microbench::HP,
+                                         workloads::Microbench::Hist),
+                       ::testing::Values(ChipShape{1, 1}, ChipShape{3, 1},
+                                         ChipShape{9, 1}, ChipShape{25, 1},
+                                         ChipShape{1, 2}, ChipShape{3, 2},
+                                         ChipShape{9, 2})),
+    [](const ::testing::TestParamInfo<ShapeParam> &info) {
+        const ChipShape shape = std::get<1>(info.param);
+        return std::string(
+                   workloads::microbenchName(std::get<0>(info.param)))
+               + "C" + std::to_string(shape.first) + "TC"
+               + std::to_string(shape.second);
+    });
+
+/** Cores built with a single thread slot (not just an idle second
+ *  slot) run the burst with no sibling at all. */
+TEST(FastPathEquivalenceStress, SingleSlotCoresAreBitIdentical)
+{
+    sim::SystemOptions opts;
+    opts.cfg.piton.threadsPerCore = 1;
+    const auto legacy =
+        expectBitIdenticalAtAllThreadCounts(opts, 30000, [](sim::System &sys) {
+            return workloads::loadMicrobench(
+                sys, workloads::Microbench::HP, 4, 1, 0);
+        });
+    EXPECT_GT(legacy.totalInsts, 0u);
+}
+
+/** One sibling halts early while the other keeps storing: the
+ *  survivor runs beside a Halted slot with stores still in flight, so
+ *  the burst sees a non-Ready sibling and a non-empty store buffer.
+ *  Which slot halts alternates by tile. */
+TEST(FastPathEquivalenceStress, HaltedSiblingWithStoresInFlight)
+{
+    const isa::Program early = isa::assemble(R"(
+        set 0, %r1
+    loop:
+        add %r1, 1, %r1
+        xor %r1, %r3, %r2
+        cmp %r1, 40
+        bl loop
+        halt
+    )");
+    const isa::Program storer = isa::assemble(R"(
+        set 0x50000, %r1
+        set 0, %r3
+    loop:
+        stx %r3, [%r1 + 0]
+        add %r3, 1, %r3
+        add %r2, %r3, %r2
+        xor %r2, %r3, %r4
+        sub %r4, %r3, %r5
+        stx %r4, [%r1 + 8]
+        and %r5, %r2, %r6
+        add %r1, 16, %r1
+        cmp %r3, 1500
+        bl loop
+        halt
+    )");
+
+    const auto legacy = expectBitIdenticalAtAllThreadCounts(
+        {}, 400000, [&](sim::System &sys) {
+            for (TileId tile = 0; tile < 9; ++tile) {
+                const ThreadId halts = tile % 2;
+                sys.loadProgram(tile, halts, &early);
+                sys.loadProgram(tile, halts ^ 1u, &storer);
+            }
+            return 0; // the programs are this test's locals
+        });
+    EXPECT_TRUE(legacy.allHalted);
+}
 
 /** Store-buffer pressure: back-to-back stores overflow the 8-entry
  *  buffer, exercising rollbacks, replayed stores, and the drain
