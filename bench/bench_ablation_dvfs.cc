@@ -42,10 +42,9 @@ const char *const kKernelSrc = R"(
 /** The fixed work: the integer kernel on all 50 threads, governed. */
 piton::sim::CompletionResult
 runGoverned(piton::sim::SystemOptions opts, const piton::isa::Program &kernel,
-            piton::governor::Governor &gov, unsigned engine_threads)
+            piton::governor::Governor &gov)
 {
     using namespace piton;
-    opts.engineThreads = engine_threads;
     sim::System sys(opts);
     sys.attachGovernor(&gov);
     for (TileId tile = 0; tile < 25; ++tile) {
@@ -69,9 +68,7 @@ main(int argc, char **argv)
     if (!args.scenario.empty()) {
         const governor::Scenario sc =
             governor::Scenario::fromFile(args.scenario);
-        sim::SystemOptions opts;
-        opts.engineThreads = args.engineThreads;
-        sim::System sys(opts);
+        sim::System sys;
         const governor::ScenarioResult r = governor::runScenario(sys, sc);
         TextTable t({"Phase", "Cycles", "Time (ms)", "Energy (mJ)",
                      "Avg power (W)", "Die (C)"});
@@ -105,8 +102,7 @@ main(int argc, char **argv)
         governor::GovernorParams gp;
         gp.policy = "none";
         const auto gov = governor::makeGovernor(gp);
-        const sim::CompletionResult r =
-            runGoverned(opts, kernel, *gov, args.engineThreads);
+        const sim::CompletionResult r = runGoverned(opts, kernel, *gov);
         if (!r.completed)
             continue;
         const double energy_mj = r.onChipEnergyJ * 1e3;
@@ -138,8 +134,8 @@ main(int argc, char **argv)
         if (gp.policy == "pidcap")
             gp.capW = 1.5; // mid-bathtub budget for the comparison
         const auto gov = governor::makeGovernor(gp);
-        const sim::CompletionResult r = runGoverned(
-            sim::SystemOptions{}, kernel, *gov, args.engineThreads);
+        const sim::CompletionResult r =
+            runGoverned(sim::SystemOptions{}, kernel, *gov);
         std::cout << "\nclosed-loop '" << gov->name()
                   << "' from the nominal point: "
                   << fmtF(r.onChipEnergyJ * 1e3, 3) << " mJ in "

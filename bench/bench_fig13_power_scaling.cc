@@ -22,7 +22,6 @@ main(int argc, char **argv)
 
     sim::SystemOptions opts;
     opts.sweepThreads = args.threads;
-    opts.engineThreads = args.engineThreads;
     const core::PowerScalingExperiment exp(opts, samples);
     const std::vector<std::uint32_t> grid = {1,  3,  5,  7,  9,  11, 13,
                                              15, 17, 19, 21, 23, 25};

@@ -76,9 +76,7 @@ main(int argc, char **argv)
         if (policy == "pidcap" && sc.gov.capW <= 0.0)
             sc.gov.capW = 2.5;
 
-        sim::SystemOptions opts;
-        opts.engineThreads = args.engineThreads;
-        sim::System sys(opts);
+        sim::System sys;
         telemetry::TelemetryRecorder rec;
         sys.attachTelemetry(&rec);
         const governor::ScenarioResult r = governor::runScenario(sys, sc);
@@ -105,7 +103,7 @@ main(int argc, char **argv)
            " pure control-loop\nbehaviour.  pidcap tracks the phase cap"
            " schedule, ondemand rides utilization,\ntheas throttles"
            " memory-bound tiles and gates idle ones, none is the"
-           " static\nbaseline table.  Deterministic: bit-identical at"
-           " any --engine-threads.\n";
+           " static\nbaseline table.  Deterministic: bit-identical under"
+           " either engine.\n";
     return 0;
 }

@@ -254,10 +254,9 @@ class Core
      * relative to `base`, carrying kCapturedCoreBit) instead of
      * accumulating, until endCapture().  The chip's run-ahead scheduler
      * brackets each round with this; because the diverted state is
-     * core-owned, phase-1 slices of different cores capture
-     * concurrently without sharing anything (DESIGN.md §12).  The
-     * core's charge cycle is maintained internally by the run-ahead
-     * loops (capCycle_).
+     * core-owned, each core's phase-1 slice captures without touching
+     * the shared ledger (DESIGN.md §9).  The core's charge cycle is
+     * maintained internally by the run-ahead loops (capCycle_).
      */
     void beginCapture(std::vector<power::CapturedCharge> *log, Cycle base)
     {
@@ -277,8 +276,7 @@ class Core
      * `buckets` must be a power of two in [2, 2^20]; 0 disables and
      * frees the histogram.  Unlike the trace hook this does not disable
      * the run-ahead engine: the counters are commutative integers
-     * bumped in retire order, identical under both engines and at any
-     * shard count.
+     * bumped in retire order, identical under both engines.
      */
     void enableBbv(std::uint32_t buckets);
     std::uint32_t bbvBuckets() const { return bbvBuckets_; }
@@ -353,8 +351,8 @@ class Core
     /** Charge to the chip ledger and the per-tile accumulator.
      *  Inline: this is called once or twice per issued instruction.
      *  Under a core capture the charge lands in the core-owned log —
-     *  no shared ledger access — which is what makes phase-1 slices
-     *  raceless across shards; replay applies both shares later. */
+     *  no shared ledger access, so a phase-1 slice may run out of
+     *  global cycle order; replay applies both shares later. */
     void
     charge(power::Category c, const power::RailEnergy &e)
     {

@@ -143,91 +143,6 @@ ThreadPool::wait()
     }
 }
 
-WorkerGang::WorkerGang(unsigned shards)
-{
-    piton_assert(shards >= 1, "gang needs at least one shard");
-    workers_.reserve(shards - 1);
-    for (unsigned s = 1; s < shards; ++s)
-        workers_.emplace_back([this, s] { workerLoop(s); });
-}
-
-WorkerGang::~WorkerGang()
-{
-    stop_.store(true, std::memory_order_release);
-    {
-        // Lock pairs the flag with the sleepers bookkeeping so a worker
-        // can't check stop_, decide to sleep, and miss this notify.
-        std::lock_guard<std::mutex> lock(mutex_);
-        cv_.notify_all();
-    }
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-WorkerGang::run(const std::function<void(unsigned)> &fn)
-{
-    if (workers_.empty()) {
-        fn(0);
-        return;
-    }
-    fn_ = &fn;
-    pending_.store(static_cast<unsigned>(workers_.size()),
-                   std::memory_order_relaxed);
-    // The release bump publishes fn_ and pending_ to workers that
-    // acquire the new epoch value.
-    epoch_.fetch_add(1, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (sleepers_ > 0)
-            cv_.notify_all();
-    }
-    fn(0);
-    // Join barrier: each worker's release decrement pairs with this
-    // acquire load, making every shard's writes visible here.
-    for (std::uint32_t spins = 0;
-         pending_.load(std::memory_order_acquire) != 0; ++spins) {
-        if (spins >= 64)
-            std::this_thread::yield();
-    }
-}
-
-void
-WorkerGang::workerLoop(unsigned shard)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        std::uint64_t e = epoch_.load(std::memory_order_acquire);
-        if (e == seen && !stop_.load(std::memory_order_acquire)) {
-            // Spin (with yields, to stay fair on few-CPU hosts) before
-            // parking: back-to-back rounds never touch the mutex.
-            for (int i = 0; i < 256 && e == seen; ++i) {
-                std::this_thread::yield();
-                e = epoch_.load(std::memory_order_acquire);
-                if (stop_.load(std::memory_order_acquire))
-                    break;
-            }
-            if (e == seen && !stop_.load(std::memory_order_acquire)) {
-                std::unique_lock<std::mutex> lock(mutex_);
-                ++sleepers_;
-                cv_.wait(lock, [&] {
-                    return epoch_.load(std::memory_order_acquire) != seen
-                           || stop_.load(std::memory_order_acquire);
-                });
-                --sleepers_;
-                e = epoch_.load(std::memory_order_acquire);
-            }
-        }
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        if (e != seen) {
-            seen = e;
-            (*fn_)(shard);
-            pending_.fetch_sub(1, std::memory_order_release);
-        }
-    }
-}
-
 void
 parallelFor(std::size_t n, unsigned threads,
             const std::function<void(std::size_t)> &fn)

@@ -14,7 +14,6 @@
 #ifndef PITON_COMMON_PARALLEL_HH
 #define PITON_COMMON_PARALLEL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -105,56 +104,6 @@ class ThreadPool
     std::condition_variable doneCv_;
     std::size_t pending_ = 0;
     std::exception_ptr firstError_;
-};
-
-/**
- * Persistent fork-join gang for fine-grained rounds (the chip's sharded
- * run-ahead engine dispatches one round every few hundred simulated
- * cycles, so per-round cost must stay in the microsecond range —
- * ThreadPool's mutex/cv queue handoff per task is two orders of
- * magnitude too slow for that).
- *
- * run(fn) invokes fn(shard) for every shard in [0, shards) exactly
- * once: the calling thread executes shard 0 itself while shards-1
- * resident workers execute the rest, and run() returns only after all
- * shards finish (a full barrier, so fn's writes are visible to the
- * caller).  Dispatch is an atomic epoch bump; workers spin briefly on
- * the epoch before parking on a condition variable, which keeps
- * back-to-back rounds queue-free while an idle gang costs nothing.
- *
- * fn must not throw (the engine's shard bodies only touch
- * preallocated state; a panic aborts anyway).  run() is not itself
- * thread-safe — one orchestrator per gang.
- */
-class WorkerGang
-{
-  public:
-    explicit WorkerGang(unsigned shards);
-    ~WorkerGang();
-
-    WorkerGang(const WorkerGang &) = delete;
-    WorkerGang &operator=(const WorkerGang &) = delete;
-
-    unsigned shards() const
-    {
-        return static_cast<unsigned>(workers_.size()) + 1;
-    }
-
-    void run(const std::function<void(unsigned)> &fn);
-
-  private:
-    void workerLoop(unsigned shard);
-
-    /** Round function for the current epoch; written before the epoch
-     *  bump (release) and read after observing it (acquire). */
-    const std::function<void(unsigned)> *fn_ = nullptr;
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<unsigned> pending_{0};
-    std::atomic<bool> stop_{false};
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    unsigned sleepers_ = 0; ///< guarded by mutex_
-    std::vector<std::thread> workers_;
 };
 
 /**

@@ -302,11 +302,11 @@ static_assert(static_cast<std::size_t>(Category::NumCategories)
 
 /**
  * Per-tile energy accumulators in structure-of-arrays layout: one
- * densely packed double array per rail, indexed by tile.  The sharded
- * replay walks one tile's log at a time, touching three adjacent
- * scalars instead of a RailEnergy embedded in each Core (whose
- * neighbours in memory are the core's thread state — a cache line the
- * replay has no other use for).  Each slot accumulates exactly the
+ * densely packed double array per rail, indexed by tile.  The charge
+ * replay touches three adjacent scalars per tile instead of a
+ * RailEnergy embedded in each Core (whose neighbours in memory are the
+ * core's thread state — a cache line the replay has no other use
+ * for).  Each slot accumulates exactly the
  * per-rail double chains Core's old `coreEnergy_ += e` performed, so
  * sums are bit-identical to the AoS layout.
  */
@@ -489,28 +489,6 @@ class EnergyLedger
             }
             active.resize(kept);
             d = next_d;
-        }
-        total_ = tot;
-    }
-
-    /**
-     * The category/total chain over a pre-merged charge array.  The
-     * sharded engine merges the per-actor logs into one contiguous
-     * (cycle, actor)-ordered array in parallel (a stable tree merge,
-     * PitonChip::runAheadRound phase 3), so the serial residue shrinks
-     * to this linear scan.  The walk performs the identical double
-     * additions in the identical order as replayCaptures over the
-     * unmerged logs — merging only changes *where* the entries
-     * live, never the (cycle, actor) visit order — so the sums stay
-     * bit-identical at every engine thread count.
-     */
-    void
-    replayMerged(const std::vector<CapturedCharge> &merged)
-    {
-        RailEnergy tot = total_; // register-resident chain
-        for (const CapturedCharge &cc : merged) {
-            byCat_[cc.cat & (kCapturedCoreBit - 1)] += cc.e;
-            tot += cc.e;
         }
         total_ = tot;
     }

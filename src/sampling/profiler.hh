@@ -12,10 +12,10 @@
  * Determinism contract: interval boundaries are decided by retired
  * instruction counts at window boundaries, and BBV counts are
  * commutative integers bumped at retire — both identical under the
- * fast/legacy engines and at any engineThreads, so the profile (and
- * everything derived from it: clustering, slice selection, stitched
- * estimates) is bit-identical across engine configurations and across
- * checkpoint save/resume of the profiling run itself.
+ * fast/legacy engines, so the profile (and everything derived from it:
+ * clustering, slice selection, stitched estimates) is bit-identical
+ * across engines and across checkpoint save/resume of the profiling
+ * run itself.
  */
 
 #ifndef PITON_SAMPLING_PROFILER_HH

@@ -23,11 +23,10 @@
  *
  * Determinism: slice replays restore full system state and re-run the
  * exact window sequence the profile saw, so each slice's energy is
- * bit-identical to the profiled interval under any engine/thread
- * combination; clustering and stitching are serial fixed-order
- * arithmetic.  Slice forks may run on worker threads (results land in
- * per-slice slots; the stitch order is fixed), so `threads` is a pure
- * speed knob like engineThreads.
+ * bit-identical to the profiled interval under either engine;
+ * clustering and stitching are serial fixed-order arithmetic.  Slice
+ * forks may run on worker threads (results land in per-slice slots;
+ * the stitch order is fixed), so `threads` is a pure speed knob.
  */
 
 #ifndef PITON_SAMPLING_SAMPLED_RUN_HH

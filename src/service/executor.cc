@@ -220,7 +220,6 @@ runEnergy(const ExperimentRequest &req, const RunControl &ctl)
                                            req.kind, "deadline expired");
     sampling::SampledOptions sopts;
     sopts.maxSlices = req.sampledSlices;
-    sopts.threads = req.engineThreads;
     const sampling::SampledEstimate est =
         sampling::runSampled(prof.intervals(), sys.options(), sopts);
     resp.energy.completed = 1;

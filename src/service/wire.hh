@@ -49,15 +49,19 @@ class ServiceError : public std::runtime_error
 };
 
 /** Bumped on any frame-layout or body-encoding change.
- *  v2: ExperimentRequest grew engineThreads (u32, after fastPath).
+ *  v2: ExperimentRequest grew an engine thread count (u32, after the
+ *      engine flag).
  *  v3: fleet-aware — Hello/HelloAck worker handshake, VersionError
  *      typed mismatch frames, StatsReply carries WorkerStats (worker
  *      id + threads ahead of the metrics).
  *  v4: search-aware — ExperimentRequest grew Kind::PlacedRun with
  *      placement + tileFreqSteps vectors and the sampled-run opt-in
  *      (sampledSlices, sampledIntervalInsns); EnergyResult grew the
- *      sampled-estimate section (result format v2). */
-inline constexpr std::uint16_t kWireVersion = 4;
+ *      sampled-estimate section (result format v2).
+ *  v5: ExperimentRequest lost the engine flag (u8) and the engine
+ *      thread count (u32); the service always runs the fast path on
+ *      one thread per chip. */
+inline constexpr std::uint16_t kWireVersion = 5;
 
 /**
  * Thrown when the peer speaks a different wire version.  Typed (rather

@@ -64,13 +64,6 @@ struct SystemOptions
      *  exists for equivalence testing and debugging). */
     bool fastPath = true;
 
-    /** Worker threads for the fast path's sharded run-ahead rounds
-     *  (DESIGN.md §12): tiles are sharded over a resident gang; 0
-     *  means all hardware threads, and the chip clamps to the tile
-     *  count.  A speed knob like fastPath: results are bit-identical
-     *  at any value (tests/test_fastpath_equiv.cc sweeps 1/2/8). */
-    unsigned engineThreads = 1;
-
     /** BBV histogram buckets per tile for the sampling subsystem's
      *  interval profiler (DESIGN.md §14); power of two in [2, 2^20],
      *  0 disables.  The counters are commutative integers, so enabling
@@ -226,7 +219,7 @@ class System
      * EnergyModel::setOperatingPoint + the effective clock, per-tile
      * duty tables) applies before the next window.  All of it is
      * serial arithmetic on bit-identical inputs, so governed runs stay
-     * bit-identical at any engineThreads and across checkpoint/resume.
+     * bit-identical under both engines and across checkpoint/resume.
      *
      * The governor is init()-ed against this system's platform at
      * attach; counter baselines snapshot like attachTelemetry.  For

@@ -790,58 +790,44 @@ TEST(CheckpointSparseMalformed, SeededPayloadMutationsFailCleanly)
     EXPECT_GT(accepted, 0u);
 }
 
-// ---- sharded-engine state: round trip, corruption, reset -------------
+// ---- run-ahead state: round trip, corruption, reset ------------------
 
-sim::SystemOptions
-shardedOpts(unsigned engine_threads)
-{
-    sim::SystemOptions opts;
-    opts.fastPath = true;
-    opts.engineThreads = engine_threads;
-    return opts;
-}
-
-/** A checkpoint saved from a sharded (8-thread) run must restore at
- *  any thread count — including into a *used* chip whose shard
- *  accounting (per-tile SoA ledgers, capture logs, round counters) is
- *  stale from a different workload — and resume bit-identically to the
- *  uninterrupted single-threaded run. */
-TEST(CheckpointSharded, ThreadedSaveRestoresAtAnyThreadCount)
+/** A checkpoint must restore into a *used* chip whose run-ahead
+ *  accounting (per-tile SoA ledgers, capture logs, round counter) is
+ *  stale from a different workload, and resume bit-identically to the
+ *  uninterrupted run. */
+TEST(CheckpointRunAhead, SaveRestoresIntoUsedChip)
 {
     const auto straight = runStraight(workloads::Microbench::Int, true);
-    for (const unsigned resume_threads : {1u, 8u}) {
-        SystemFingerprint fp;
-        std::vector<std::uint8_t> bytes;
-        {
-            sim::System sys(shardedOpts(8));
-            const auto programs = workloads::loadMicrobench(
-                sys, workloads::Microbench::Int, 25, 2, 0);
-            telemetry::TelemetryRecorder rec;
-            sys.attachTelemetry(&rec);
-            recordWindows(sys, kPrefixWindows, fp);
-            bytes = sys.saveBytes();
-        }
-        sim::System resumed(shardedOpts(resume_threads));
-        const auto decoy = workloads::loadMicrobench(
-            resumed, workloads::Microbench::Hist, 25, 2, 0);
-        resumed.pitonChip().run(10000); // dirty the shard state
-        if (resume_threads > 1)
-            EXPECT_GT(resumed.pitonChip().runAheadRounds(), 0u);
+    SystemFingerprint fp;
+    std::vector<std::uint8_t> bytes;
+    {
+        sim::System sys(optsFor(true));
+        const auto programs = workloads::loadMicrobench(
+            sys, workloads::Microbench::Int, 25, 2, 0);
         telemetry::TelemetryRecorder rec;
-        resumed.attachTelemetry(&rec);
-        resumed.restoreBytes(bytes);
-        EXPECT_EQ(resumed.pitonChip().runAheadRounds(), 0u);
-        recordWindows(resumed, kSuffixWindows, fp);
-        finishFingerprint(resumed, rec, fp);
-        EXPECT_TRUE(fp == straight)
-            << "resume threads=" << resume_threads;
+        sys.attachTelemetry(&rec);
+        recordWindows(sys, kPrefixWindows, fp);
+        bytes = sys.saveBytes();
     }
+    sim::System resumed(optsFor(true));
+    const auto decoy = workloads::loadMicrobench(
+        resumed, workloads::Microbench::Hist, 25, 2, 0);
+    resumed.pitonChip().run(10000); // dirty the run-ahead state
+    EXPECT_GT(resumed.pitonChip().runAheadRounds(), 0u);
+    telemetry::TelemetryRecorder rec;
+    resumed.attachTelemetry(&rec);
+    resumed.restoreBytes(bytes);
+    EXPECT_EQ(resumed.pitonChip().runAheadRounds(), 0u);
+    recordWindows(resumed, kSuffixWindows, fp);
+    finishFingerprint(resumed, rec, fp);
+    EXPECT_TRUE(fp == straight);
 }
 
 /** The chip.tile_energy section (format v2) is CRC-protected like any
  *  other: a flipped bit inside it must throw, never silently skew the
  *  per-tile accumulators. */
-TEST(CheckpointSharded, TileEnergySectionCorruptionThrows)
+TEST(CheckpointRunAhead, TileEnergySectionCorruptionThrows)
 {
     auto bytes = smallImage();
     static const char kName[] = "chip.tile_energy";
@@ -856,15 +842,14 @@ TEST(CheckpointSharded, TileEnergySectionCorruptionThrows)
     EXPECT_THROW(sys.restoreBytes(bytes), ckpt::CheckpointError);
 }
 
-/** resetEnergy() must clear every piece of sharded accounting: the
+/** resetEnergy() must clear every piece of run-ahead accounting: the
  *  global ledger, the per-tile SoA ledger, and the round counter. */
-TEST(CheckpointSharded, ResetEnergyClearsShardState)
+TEST(CheckpointRunAhead, ResetEnergyClearsRoundState)
 {
     const isa::Program p = chipTestProgram();
     config::PitonParams params;
     power::EnergyModel energy;
     arch::PitonChip chip(params, chip::makeChip(2), energy, 17);
-    chip.setEngineThreads(8);
     for (TileId tile = 0; tile < 4; ++tile)
         chip.loadProgram(tile, 0, &p);
     chip.run(20000);
@@ -891,12 +876,12 @@ TEST(CheckpointSharded, ResetEnergyClearsShardState)
  * burst loop with stores still in flight, and the burst drains the
  * store buffer once on exit instead of on every tick.  A checkpoint at
  * a window boundary with stores in flight must resume bit-identically
- * at engineThreads 1, 2 and 8, and re-save byte for byte.  A traced
- * run (which ticks every core at each of its event cycles, draining
- * every time) must save the same image, so the deferred drain leaves
- * the store-buffer state a per-tick drain would.
+ * and re-save byte for byte.  A traced run (which ticks every core at
+ * each of its event cycles, draining every time) must save the same
+ * image, so the deferred drain leaves the store-buffer state a per-tick
+ * drain would.
  */
-TEST(CheckpointBurst, StoresInFlightResumeAtAnyThreadCount)
+TEST(CheckpointBurst, StoresInFlightResumeBitIdentically)
 {
     constexpr std::uint32_t kCores = 4;
     constexpr std::uint32_t kTotalWindows = 12;
@@ -916,7 +901,7 @@ TEST(CheckpointBurst, StoresInFlightResumeAtAnyThreadCount)
     // function of the workload, so every run below stops there).
     std::uint32_t at = 0;
     {
-        sim::System sys(shardedOpts(1));
+        sim::System sys(optsFor(true));
         const auto programs = load(sys);
         SystemFingerprint scratch;
         while (at < kTotalWindows - 1 && storesInFlight(sys) == 0) {
@@ -930,7 +915,7 @@ TEST(CheckpointBurst, StoresInFlightResumeAtAnyThreadCount)
 
     std::vector<std::uint8_t> traced;
     {
-        sim::System sys(shardedOpts(1));
+        sim::System sys(optsFor(true));
         const auto programs = load(sys);
         telemetry::TelemetryRecorder rec;
         sys.attachTelemetry(&rec);
@@ -942,40 +927,37 @@ TEST(CheckpointBurst, StoresInFlightResumeAtAnyThreadCount)
         traced = sys.saveBytes();
     }
 
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        SystemFingerprint straight;
-        {
-            sim::System sys(shardedOpts(threads));
-            const auto programs = load(sys);
-            telemetry::TelemetryRecorder rec;
-            sys.attachTelemetry(&rec);
-            recordWindows(sys, kTotalWindows, straight);
-            finishFingerprint(sys, rec, straight);
-        }
-
-        SystemFingerprint fp;
-        std::vector<std::uint8_t> bytes;
-        {
-            sim::System sys(shardedOpts(threads));
-            const auto programs = load(sys);
-            telemetry::TelemetryRecorder rec;
-            sys.attachTelemetry(&rec);
-            recordWindows(sys, at, fp);
-            EXPECT_GT(storesInFlight(sys), 0u);
-            bytes = sys.saveBytes();
-        }
-        EXPECT_EQ(bytes, traced);
-
-        sim::System resumed(shardedOpts(threads));
+    SystemFingerprint straight;
+    {
+        sim::System sys(optsFor(true));
+        const auto programs = load(sys);
         telemetry::TelemetryRecorder rec;
-        resumed.attachTelemetry(&rec);
-        resumed.restoreBytes(bytes);
-        EXPECT_EQ(resumed.saveBytes(), bytes);
-        recordWindows(resumed, kTotalWindows - at, fp);
-        finishFingerprint(resumed, rec, fp);
-        EXPECT_TRUE(fp == straight);
+        sys.attachTelemetry(&rec);
+        recordWindows(sys, kTotalWindows, straight);
+        finishFingerprint(sys, rec, straight);
     }
+
+    SystemFingerprint fp;
+    std::vector<std::uint8_t> bytes;
+    {
+        sim::System sys(optsFor(true));
+        const auto programs = load(sys);
+        telemetry::TelemetryRecorder rec;
+        sys.attachTelemetry(&rec);
+        recordWindows(sys, at, fp);
+        EXPECT_GT(storesInFlight(sys), 0u);
+        bytes = sys.saveBytes();
+    }
+    EXPECT_EQ(bytes, traced);
+
+    sim::System resumed(optsFor(true));
+    telemetry::TelemetryRecorder rec;
+    resumed.attachTelemetry(&rec);
+    resumed.restoreBytes(bytes);
+    EXPECT_EQ(resumed.saveBytes(), bytes);
+    recordWindows(resumed, kTotalWindows - at, fp);
+    finishFingerprint(resumed, rec, fp);
+    EXPECT_TRUE(fp == straight);
 }
 
 // ---- governed checkpoints (format v3: sys.governor section) ----------

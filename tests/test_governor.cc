@@ -325,12 +325,10 @@ phase1.cap_w     = 1.8
 }
 
 governor::ScenarioResult
-runMini(const std::string &policy, unsigned engine_threads = 1,
+runMini(const std::string &policy,
         telemetry::TelemetryRecorder *rec = nullptr)
 {
-    sim::SystemOptions opts;
-    opts.engineThreads = engine_threads;
-    sim::System sys(opts);
+    sim::System sys;
     if (rec != nullptr)
         sys.attachTelemetry(rec);
     return governor::runScenario(sys, miniScenario(policy));
@@ -390,7 +388,7 @@ phase1.cycles    = 240000
 TEST(GovernorEndToEnd, GovernorTelemetrySeriesAreEmitted)
 {
     telemetry::TelemetryRecorder rec;
-    const auto r = runMini("pidcap", 1, &rec);
+    const auto r = runMini("pidcap", &rec);
     (void)r;
     namespace ts = telemetry::schema;
     for (const char *name :
@@ -411,7 +409,7 @@ TEST(GovernorEndToEnd, GovernorTelemetrySeriesAreEmitted)
 
     // Exports of bit-identical runs are byte-identical (CSV + JSONL).
     telemetry::TelemetryRecorder rec2;
-    runMini("pidcap", 1, &rec2);
+    runMini("pidcap", &rec2);
     std::ostringstream c1, c2, j1, j2;
     telemetry::writeCsv(c1, rec);
     telemetry::writeCsv(c2, rec2);

@@ -8,12 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -119,62 +116,6 @@ TEST(ParallelFor, PropagatesFirstException)
                                      throw std::runtime_error("boom");
                              }),
                  std::runtime_error);
-}
-
-TEST(WorkerGang, EveryShardRunsExactlyOncePerRound)
-{
-    WorkerGang gang(4);
-    EXPECT_EQ(gang.shards(), 4u);
-
-    constexpr int kRounds = 2000; // µs-scale dispatch is the point
-    std::vector<std::atomic<int>> hits(gang.shards());
-    for (auto &h : hits)
-        h.store(0);
-    for (int round = 0; round < kRounds; ++round) {
-        gang.run([&hits](unsigned shard) { ++hits[shard]; });
-        // run() is a full barrier: all shards of this round are done.
-        for (unsigned s = 0; s < gang.shards(); ++s)
-            ASSERT_EQ(hits[s].load(), round + 1) << "shard " << s;
-    }
-}
-
-TEST(WorkerGang, CallerParticipatesAsShardZero)
-{
-    WorkerGang gang(3);
-    const std::thread::id caller = std::this_thread::get_id();
-    std::array<std::thread::id, 3> ids;
-    gang.run([&ids](unsigned shard) {
-        ids[shard] = std::this_thread::get_id();
-    });
-    EXPECT_EQ(ids[0], caller); // shard 0 runs inline on the caller
-    EXPECT_NE(ids[1], caller);
-    EXPECT_NE(ids[2], caller);
-    EXPECT_NE(ids[1], ids[2]);
-}
-
-TEST(WorkerGang, SingleShardGangSpawnsNoThreads)
-{
-    WorkerGang gang(1);
-    EXPECT_EQ(gang.shards(), 1u);
-    int runs = 0;
-    gang.run([&runs](unsigned shard) {
-        EXPECT_EQ(shard, 0u);
-        ++runs;
-    });
-    EXPECT_EQ(runs, 1);
-}
-
-TEST(WorkerGang, SurvivesParkedWorkersBetweenBursts)
-{
-    WorkerGang gang(4);
-    std::atomic<int> count{0};
-    const auto tick = [&count](unsigned) { ++count; };
-    gang.run(tick);
-    // Let the workers fall out of their spin phase and park on the
-    // condition variable, then make sure a new epoch still wakes them.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    gang.run(tick);
-    EXPECT_EQ(count.load(), 8);
 }
 
 // --- serial vs parallel sweep determinism ---------------------------

@@ -284,13 +284,11 @@ struct ChipUnderTest
     power::EnergyModel energy;
     arch::PitonChip chip;
 
-    ChipUnderTest(const isa::Program *p, bool fast, bool drafting,
-                  unsigned engine_threads = 1)
+    ChipUnderTest(const isa::Program *p, bool fast, bool drafting)
         : params(makeParams()),
           chip(params, chip::makeChip(2), energy, 17)
     {
         chip.setFastPath(fast);
-        chip.setEngineThreads(engine_threads);
         if (drafting)
             chip.setExecDrafting(true);
         if (p != nullptr)
@@ -348,26 +346,13 @@ runOneSeed(std::uint64_t seed)
         << "fast vs legacy divergence\n"
         << disassemble(p, seed);
 
-    // The sharded engine at >1 thread must agree bit-for-bit too
-    // (thread-count invariance of the charge replay, DESIGN.md §12;
-    // requests above the tile count clamp, so 8 exercises the clamp).
-    const unsigned mt_threads = (seed % 3 == 0) ? 8u : 2u;
-    ChipUnderTest threaded(&p, true, drafting, mt_threads);
-    threaded.chip.run(split);
-    threaded.chip.run(kMaxCycles);
-    EXPECT_TRUE(fingerprint(threaded.chip) == ref)
-        << "sharded-engine divergence at " << mt_threads << " threads\n"
-        << disassemble(p, seed);
-
-    // Checkpoint at the split — taken from a *sharded* run, so stale
-    // per-shard accounting would be caught — and restore into a fresh
+    // Checkpoint a fast run at the split and restore into a fresh
     // chip (alternating restore engine), resume; must land on the same
     // final state.
-    ChipUnderTest saver(&p, true, drafting, mt_threads);
+    ChipUnderTest saver(&p, true, drafting);
     saver.chip.run(split);
     const std::vector<std::uint8_t> image = saver.chip.saveBytes();
-    ChipUnderTest resumed(nullptr, (seed % 2) == 0, drafting,
-                          (seed % 2) == 0 ? mt_threads : 1u);
+    ChipUnderTest resumed(nullptr, (seed % 2) == 0, drafting);
     resumed.chip.restoreBytes(image);
     resumed.chip.run(kMaxCycles);
     EXPECT_TRUE(fingerprint(resumed.chip) == ref)
@@ -509,8 +494,8 @@ TEST(CheckpointBoundaryAudit, FuzzedProgramsDenseSplits)
 // ---- governed differential runs --------------------------------------
 //
 // The same fuzz corpus under the closed DVFS loop (DESIGN.md §13): a
-// full governed System runs each program across the legacy engine, the
-// sharded engine at several thread counts, and a mid-run checkpoint
+// full governed System runs each program on the legacy engine, the
+// fast engine, and the fast engine across a mid-run checkpoint
 // migrated into a fresh governed System.  The control loop (epoch
 // accumulators, duty gating, PID state) must not break the bit-identity
 // contract: window powers and ledger sums compare as raw bits.
@@ -540,12 +525,10 @@ governedSystemBits(sim::System &sys)
  */
 std::vector<std::uint64_t>
 governedFuzzRun(const isa::Program &p, const std::string &policy,
-                bool fast, unsigned threads, std::uint32_t windows,
-                std::uint32_t split = 0)
+                bool fast, std::uint32_t windows, std::uint32_t split = 0)
 {
     sim::SystemOptions opts;
     opts.fastPath = fast;
-    opts.engineThreads = threads;
 
     const auto gov_params = [&] {
         governor::GovernorParams gp;
@@ -592,17 +575,13 @@ TEST(GovernedFuzz, DifferentialGovernedRuns)
         const isa::Program p = generateProgram(seed);
         const std::string policy = policies[seed % 3];
         const auto ref =
-            governedFuzzRun(p, policy, /*fast=*/false, 1, kWindows);
+            governedFuzzRun(p, policy, /*fast=*/false, kWindows);
 
-        for (const unsigned threads : {1u, 2u, 8u}) {
-            EXPECT_EQ(governedFuzzRun(p, policy, true, threads, kWindows),
-                      ref)
-                << policy << " diverged at " << threads << " threads";
-        }
+        EXPECT_EQ(governedFuzzRun(p, policy, true, kWindows), ref)
+            << policy << " fast engine diverged";
         // Checkpoint both at an epoch boundary (2) and mid-epoch (3).
         const std::uint32_t split = 2 + (seed % 2);
-        EXPECT_EQ(
-            governedFuzzRun(p, policy, true, 8, kWindows, split), ref)
+        EXPECT_EQ(governedFuzzRun(p, policy, true, kWindows, split), ref)
             << policy << " diverged across checkpoint at window "
             << split;
         if (::testing::Test::HasFatalFailure())

@@ -5,16 +5,17 @@
  * payload bytes, oversized length prefixes, bad magic, byte-by-byte
  * reassembly, seeded mutation fuzz — all must produce clean typed
  * errors, never hangs or UB (the suite runs under ASan/UBSan in CI).
- * Also covers both directions of wire-version negotiation: a v2
- * client against this server gets a decodable VersionError frame
- * stamped with ITS version, and this client against a v2 server
- * throws VersionMismatchError, not a CRC failure.
+ * Also covers both directions of wire-version negotiation: an older
+ * (v2 or v4) client against this server gets a decodable VersionError
+ * frame stamped with ITS version, and this client against an older
+ * server throws VersionMismatchError, not a CRC failure.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <random>
+#include <string>
 #include <sys/socket.h>
 #include <thread>
 #include <vector>
@@ -39,6 +40,12 @@ pingFrame(std::uint64_t request_id)
     f.requestId = request_id;
     return f;
 }
+
+/** Older wire versions the skew tests pose as: v2 (pre-fleet) and v4,
+ *  whose request body still carried the engine flag and thread count —
+ *  a v5 parser must reject it by version, never misparse those 5
+ *  bytes. */
+constexpr std::uint16_t kSkewedVersions[] = {2, 4};
 
 std::vector<std::uint8_t>
 smallRequestFrameBytes(std::uint16_t wire_version = kWireVersion)
@@ -172,15 +179,18 @@ TEST(WireFault, OversizedLengthPrefixIsRejectedBeforeBuffering)
 
 TEST(WireFault, VersionSkewThrowsTypedErrorWithRequestId)
 {
-    const std::vector<std::uint8_t> bytes = smallRequestFrameBytes(2);
-    FrameParser parser;
-    try {
-        parseAll(parser, bytes);
-        FAIL() << "v2 frame accepted by a v3 parser";
-    } catch (const VersionMismatchError &e) {
-        EXPECT_EQ(e.got(), 2u);
-        EXPECT_EQ(e.want(), kWireVersion);
-        EXPECT_EQ(e.requestId(), 7u);
+    for (const std::uint16_t v : kSkewedVersions) {
+        const std::vector<std::uint8_t> bytes = smallRequestFrameBytes(v);
+        FrameParser parser;
+        try {
+            parseAll(parser, bytes);
+            ADD_FAILURE() << "v" << v << " frame accepted by a v"
+                          << kWireVersion << " parser";
+        } catch (const VersionMismatchError &e) {
+            EXPECT_EQ(e.got(), v);
+            EXPECT_EQ(e.want(), kWireVersion);
+            EXPECT_EQ(e.requestId(), 7u);
+        }
     }
 }
 
@@ -283,33 +293,39 @@ TEST(WireFault, V2ClientGetsDecodableVersionErrorNotCrcFailure)
     ExperimentServer server(cfg);
     server.start();
 
-    // Pose as a v2 client: a well-formed frame except for the version.
-    net::Socket s = net::connectTcp(server.port());
-    const std::vector<std::uint8_t> bytes = smallRequestFrameBytes(2);
-    net::sendAll(s, bytes.data(), bytes.size());
+    for (const std::uint16_t v : kSkewedVersions) {
+        SCOPED_TRACE("client version " + std::to_string(v));
+        // Pose as an older client: a well-formed frame except for the
+        // version.
+        net::Socket s = net::connectTcp(server.port());
+        const std::vector<std::uint8_t> bytes = smallRequestFrameBytes(v);
+        net::sendAll(s, bytes.data(), bytes.size());
 
-    // The reply must be a VersionError frame stamped with OUR claimed
-    // version (2) so a strict v2 parser would accept it.
-    std::uint8_t header[24];
-    ASSERT_TRUE(net::recvExact(s, header, sizeof(header)));
-    WireReader r(header, sizeof(header));
-    EXPECT_EQ(r.u32(), kFrameMagic);
-    EXPECT_EQ(r.u16(), 2u); // the peer's version, not the server's
-    EXPECT_EQ(r.u16(),
-              static_cast<std::uint16_t>(FrameType::VersionError));
-    EXPECT_EQ(r.u64(), 7u); // echoes the offending requestId
-    const std::uint32_t len = r.u32();
-    (void)r.u32(); // crc
-    std::vector<std::uint8_t> payload(len);
-    ASSERT_TRUE(net::recvExact(s, payload.data(), payload.size()));
-    const VersionInfo info = decodeVersionError(payload);
-    EXPECT_EQ(info.serverVersion, kWireVersion);
-    EXPECT_EQ(info.clientVersion, 2u);
-    EXPECT_FALSE(info.message.empty());
+        // The reply must be a VersionError frame stamped with OUR
+        // claimed version so a strict parser of that version would
+        // accept it.
+        std::uint8_t header[24];
+        ASSERT_TRUE(net::recvExact(s, header, sizeof(header)));
+        WireReader r(header, sizeof(header));
+        EXPECT_EQ(r.u32(), kFrameMagic);
+        EXPECT_EQ(r.u16(), v); // the peer's version, not the server's
+        EXPECT_EQ(r.u16(),
+                  static_cast<std::uint16_t>(FrameType::VersionError));
+        EXPECT_EQ(r.u64(), 7u); // echoes the offending requestId
+        const std::uint32_t len = r.u32();
+        (void)r.u32(); // crc
+        std::vector<std::uint8_t> payload(len);
+        ASSERT_TRUE(net::recvExact(s, payload.data(), payload.size()));
+        const VersionInfo info = decodeVersionError(payload);
+        EXPECT_EQ(info.serverVersion, kWireVersion);
+        EXPECT_EQ(info.clientVersion, v);
+        EXPECT_FALSE(info.message.empty());
 
-    // …and then the stream ends: a skewed connection cannot continue.
-    std::uint8_t more;
-    EXPECT_FALSE(net::recvExact(s, &more, 1));
+        // …and then the stream ends: a skewed connection cannot
+        // continue.
+        std::uint8_t more;
+        EXPECT_FALSE(net::recvExact(s, &more, 1));
+    }
     server.stop();
 }
 
@@ -345,25 +361,27 @@ class FakeServer
 
 TEST(WireFault, ClientThrowsTypedOnV2StampedReply)
 {
-    // An old (v2) server replying with its own framing: the client
-    // must diagnose version skew, not report a CRC or magic failure.
-    FakeServer fake(encodeFrame(pingFrame(1), 2));
-    TcpClient client(fake.port());
-    try {
-        client.ping();
-        FAIL() << "v2-stamped reply accepted";
-    } catch (const VersionMismatchError &e) {
-        EXPECT_EQ(e.got(), 2u);
-        EXPECT_EQ(e.want(), kWireVersion);
+    // An old server replying with its own framing: the client must
+    // diagnose version skew, not report a CRC or magic failure.
+    for (const std::uint16_t v : kSkewedVersions) {
+        FakeServer fake(encodeFrame(pingFrame(1), v));
+        TcpClient client(fake.port());
+        try {
+            client.ping();
+            ADD_FAILURE() << "v" << v << "-stamped reply accepted";
+        } catch (const VersionMismatchError &e) {
+            EXPECT_EQ(e.got(), v);
+            EXPECT_EQ(e.want(), kWireVersion);
+        }
     }
 }
 
 TEST(WireFault, ClientThrowsTypedOnVersionErrorFrame)
 {
-    // A v3 server telling a (posing-as-v2) peer to go away: the
-    // VersionError payload wins over the header version.
+    // A newer server telling this peer to go away: the VersionError
+    // payload wins over the header version.
     VersionInfo info;
-    info.serverVersion = 5; // hypothetical future server
+    info.serverVersion = kWireVersion + 1; // hypothetical future server
     info.clientVersion = kWireVersion;
     info.message = "upgrade required";
     Frame frame;
@@ -376,7 +394,7 @@ TEST(WireFault, ClientThrowsTypedOnVersionErrorFrame)
         client.ping();
         FAIL() << "VersionError frame did not throw";
     } catch (const VersionMismatchError &e) {
-        EXPECT_EQ(e.got(), 5u);
+        EXPECT_EQ(e.got(), kWireVersion + 1);
         EXPECT_EQ(e.want(), kWireVersion);
     }
 }
