@@ -190,56 +190,6 @@ waitReadable(int fd, int timeout_ms)
     return rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
 }
 
-Socket
-ConnectionPool::acquire(std::uint16_t port, int timeout_ms)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = idle_.find(port);
-        if (it != idle_.end() && !it->second.empty()) {
-            Socket sock = std::move(it->second.back());
-            it->second.pop_back();
-            return sock;
-        }
-    }
-    return connectTcp(port, timeout_ms);
-}
-
-void
-ConnectionPool::release(std::uint16_t port, Socket sock)
-{
-    if (!sock.valid())
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    auto &bucket = idle_[port];
-    if (bucket.size() >= maxIdle_)
-        return; // sock closes on scope exit
-    bucket.push_back(std::move(sock));
-}
-
-void
-ConnectionPool::invalidate(std::uint16_t port)
-{
-    std::vector<Socket> doomed;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = idle_.find(port);
-        if (it == idle_.end())
-            return;
-        doomed = std::move(it->second);
-        idle_.erase(it);
-    }
-    // Sockets close here, outside the lock.
-}
-
-std::size_t
-ConnectionPool::idleCount(std::uint16_t port) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = idle_.find(port);
-    return it == idle_.end() ? 0 : it->second.size();
-}
-
 Wakeup::Wakeup()
 {
     int fds[2];

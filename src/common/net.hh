@@ -15,11 +15,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace piton::net
 {
@@ -93,40 +90,6 @@ bool recvExact(const Socket &sock, void *data, std::size_t len);
 /** poll() a single fd for readability; true if readable before the
  *  timeout. */
 bool waitReadable(int fd, int timeout_ms);
-
-/**
- * Thread-safe pool of idle client connections, keyed by loopback port.
- * acquire() hands out an idle socket for the endpoint (or dials a new
- * one); release() returns a socket that is known-clean — at a protocol
- * message boundary with nothing buffered — for reuse.  Sockets in a
- * dubious state (errors, unread bytes) must be dropped, not released;
- * invalidate() flushes every idle socket for an endpoint after a
- * failure, since its siblings likely share the dead peer.
- *
- * The pool never caps concurrent connections — only how many *idle*
- * sockets it retains per endpoint (the rest close on release).
- */
-class ConnectionPool
-{
-  public:
-    explicit ConnectionPool(std::size_t max_idle_per_endpoint = 4)
-        : maxIdle_(max_idle_per_endpoint)
-    {}
-
-    /** Reuse an idle connection to 127.0.0.1:`port` or dial a new one. */
-    Socket acquire(std::uint16_t port, int timeout_ms = 5000);
-    /** Return a clean connection for reuse (closed if over budget). */
-    void release(std::uint16_t port, Socket sock);
-    /** Drop every idle connection for the endpoint. */
-    void invalidate(std::uint16_t port);
-    /** Idle sockets currently retained for the endpoint. */
-    std::size_t idleCount(std::uint16_t port) const;
-
-  private:
-    std::size_t maxIdle_;
-    mutable std::mutex mu_;
-    std::unordered_map<std::uint16_t, std::vector<Socket>> idle_;
-};
 
 /**
  * Self-pipe wakeup for poll loops: any thread may notify(); the poll

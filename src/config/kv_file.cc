@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace piton::config
@@ -71,7 +73,8 @@ KvFile::getDouble(const std::string &key, double def) const
     char *end = nullptr;
     errno = 0;
     const double d = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0' || errno == ERANGE)
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE
+        || !std::isfinite(d))
         throw KvError(source_ + ": key '" + key + "': bad number '" + v
                       + "'");
     return d;
@@ -91,6 +94,16 @@ KvFile::getUint(const std::string &key, std::uint64_t def) const
         throw KvError(source_ + ": key '" + key + "': bad count '" + v
                       + "'");
     return static_cast<std::uint64_t>(u);
+}
+
+std::uint32_t
+KvFile::getUint32(const std::string &key, std::uint32_t def) const
+{
+    const std::uint64_t u = getUint(key, def);
+    if (u > std::numeric_limits<std::uint32_t>::max())
+        throw KvError(source_ + ": key '" + key + "': count "
+                      + std::to_string(u) + " out of range");
+    return static_cast<std::uint32_t>(u);
 }
 
 bool

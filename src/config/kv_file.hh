@@ -10,9 +10,10 @@
  *
  * Parsing is strict: a malformed line (no '=', empty key, bad key
  * character) throws KvError with the line number.  Typed accessors
- * (getDouble/getUint/getBool) throw on unparseable values, and the
- * consumed-key bookkeeping lets a schema reject unknown keys — a typo
- * in a scenario file is an error, never a silently-ignored setting.
+ * (getDouble/getUint/getUint32/getBool) throw on unparseable,
+ * out-of-range or non-finite values, and the consumed-key bookkeeping
+ * lets a schema reject unknown keys — a typo in a scenario file is an
+ * error, never a silently-ignored setting.
  */
 
 #ifndef PITON_CONFIG_KV_FILE_HH
@@ -50,8 +51,13 @@ class KvFile
     /** Last value for `key`, or `def` when absent.  Marks the key
      *  consumed either way. */
     std::string get(const std::string &key, const std::string &def = {}) const;
+    /** Finite values only: nan, inf and overflow (1e400) throw. */
     double getDouble(const std::string &key, double def) const;
     std::uint64_t getUint(const std::string &key, std::uint64_t def) const;
+    /** getUint range-checked before narrowing: anything above
+     *  UINT32_MAX throws, so 2^32 + 1 can never read as 1. */
+    std::uint32_t getUint32(const std::string &key,
+                            std::uint32_t def) const;
     /** Accepts true/false/yes/no/on/off/1/0. */
     bool getBool(const std::string &key, bool def) const;
 

@@ -366,8 +366,7 @@ governorParamsFromKv(const config::KvFile &kv, GovernorParams base)
 {
     GovernorParams p = std::move(base);
     p.policy = kv.get("governor", p.policy);
-    p.epochWindows = static_cast<std::uint32_t>(
-        kv.getUint("epoch_windows", p.epochWindows));
+    p.epochWindows = kv.getUint32("epoch_windows", p.epochWindows);
     p.capW = kv.getDouble("cap_w", p.capW);
     p.capRail = kv.get("cap_rail", p.capRail);
     p.kpMhzPerW = kv.getDouble("kp_mhz_per_w", p.kpMhzPerW);

@@ -40,9 +40,8 @@ Scenario::fromKv(const config::KvFile &kv)
     sc.gov = governorParamsFromKv(kv);
     sc.workload = kv.get("workload", sc.workload);
     microbenchFromName(sc.workload); // validate early
-    sc.tiles = static_cast<std::uint32_t>(kv.getUint("tiles", sc.tiles));
-    sc.threadsPerCore = static_cast<std::uint32_t>(
-        kv.getUint("threads_per_core", sc.threadsPerCore));
+    sc.tiles = kv.getUint32("tiles", sc.tiles);
+    sc.threadsPerCore = kv.getUint32("threads_per_core", sc.threadsPerCore);
     sc.iterations = kv.getUint("iterations", sc.iterations);
     sc.histElements = kv.getUint("hist_elements", sc.histElements);
     if (sc.tiles < 1 || sc.tiles > 25)

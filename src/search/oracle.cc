@@ -126,22 +126,4 @@ ClientOracle::evaluate(const std::vector<service::ExperimentRequest> &reqs)
     return out;
 }
 
-std::vector<Evaluation>
-FleetOracle::evaluate(const std::vector<service::ExperimentRequest> &reqs)
-{
-    stats_.calls += reqs.size();
-    std::vector<service::ClientResult> results(reqs.size());
-    parallelFor(reqs.size(), inflight_, [&](std::size_t i) {
-        results[i] = fleet_.run(reqs[i]);
-    });
-    std::vector<Evaluation> out(reqs.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        out[i] = evaluationFromBody(results[i].body,
-                                    results[i].servedFromCache);
-        if (results[i].servedFromCache)
-            ++stats_.cacheHits;
-    }
-    return out;
-}
-
 } // namespace piton::search

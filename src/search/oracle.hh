@@ -3,7 +3,7 @@
  * Evaluation oracles: how a searcher obtains the objective inputs for
  * a batch of candidates (DESIGN.md §16).
  *
- * Three backends sit behind one interface:
+ * Two backends sit behind one interface:
  *
  *  - InProcessOracle: runs each request through the service executor
  *    directly (no scheduler, no sockets), with its own content-
@@ -16,10 +16,6 @@
  *    LocalClient over a scheduler, a TcpClient against piton-served
  *    (batches pipeline on the one connection), or any other transport.
  *    Cache hits are the server's (servedFromCache).
- *
- *  - FleetOracle: fans a batch across a FleetCoordinator with bounded
- *    in-flight parallelism; consistent-hash routing gives every
- *    candidate cache affinity to one worker.
  *
  * The byte-identity contract of the service layer means every backend
  * returns the same Evaluation values for the same request — the
@@ -34,7 +30,6 @@
 #include <vector>
 
 #include "common/hash.hh"
-#include "fleet/coordinator.hh"
 #include "service/client.hh"
 #include "service/request.hh"
 
@@ -117,24 +112,6 @@ class ClientOracle : public Oracle
 
   private:
     service::Client &client_;
-};
-
-/** Oracle over a worker fleet: bounded concurrent run() calls. */
-class FleetOracle : public Oracle
-{
-  public:
-    explicit FleetOracle(fleet::FleetCoordinator &fleet,
-                         unsigned inflight = 4)
-        : fleet_(fleet), inflight_(inflight == 0 ? 1 : inflight)
-    {
-    }
-
-    std::vector<Evaluation>
-    evaluate(const std::vector<service::ExperimentRequest> &reqs) override;
-
-  private:
-    fleet::FleetCoordinator &fleet_;
-    unsigned inflight_;
 };
 
 } // namespace piton::search

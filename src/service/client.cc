@@ -141,41 +141,14 @@ TcpClient::cancel(std::uint64_t request_id)
 }
 
 void
-TcpClient::awaitReadable(int timeout_ms, const char *what)
-{
-    if (timeout_ms <= 0)
-        return; // blocking recv below waits for us
-    if (!net::waitReadable(sock_.fd(), timeout_ms))
-        throw net::NetError(std::string(what) + " timed out after "
-                            + std::to_string(timeout_ms) + " ms");
-}
-
-void
-TcpClient::ping(int timeout_ms)
+TcpClient::ping()
 {
     const std::uint64_t id = nextRequestId_++;
     Frame frame;
     frame.type = FrameType::Ping;
     frame.requestId = id;
     sendFrame(frame);
-    awaitReadable(timeout_ms, "ping");
     awaitFrame(FrameType::Pong, id);
-}
-
-HelloReply
-TcpClient::hello(int timeout_ms, const std::string &client_name)
-{
-    const std::uint64_t id = nextRequestId_++;
-    Frame frame;
-    frame.type = FrameType::Hello;
-    frame.requestId = id;
-    HelloRequest req;
-    req.clientName = client_name;
-    frame.payload = encodeHelloRequest(req);
-    sendFrame(frame);
-    awaitReadable(timeout_ms, "hello");
-    const Frame reply = awaitFrame(FrameType::HelloAck, id);
-    return decodeHelloReply(reply.payload);
 }
 
 WorkerStats
@@ -194,15 +167,6 @@ SchedulerMetrics
 TcpClient::stats()
 {
     return workerStats().metrics;
-}
-
-net::Socket
-TcpClient::releaseSocket()
-{
-    if (!stashed_.empty())
-        throw ServiceError(
-            "releaseSocket with responses still stashed");
-    return std::move(sock_);
 }
 
 void

@@ -75,9 +75,6 @@ class TcpClient : public Client
   public:
     /** Connects immediately; throws net::NetError on failure. */
     explicit TcpClient(std::uint16_t port, int timeout_ms = 5000);
-    /** Adopt an already-connected socket (e.g. one checked out of a
-     *  net::ConnectionPool).  The socket must be at a frame boundary. */
-    explicit TcpClient(net::Socket sock) : sock_(std::move(sock)) {}
 
     ClientResult run(const ExperimentRequest &req) override;
     SchedulerMetrics stats() override;
@@ -92,25 +89,10 @@ class TcpClient : public Client
     /** Best-effort cancellation of an in-flight request. */
     void cancel(std::uint64_t request_id);
 
-    /** Round-trip liveness probe.  timeout_ms > 0 bounds the wait for
-     *  the reply (net::NetError on expiry) — the fleet health checker
-     *  depends on this never hanging on a wedged worker. */
-    void ping(int timeout_ms = 0);
-    /** Version/identity handshake; throws VersionMismatchError on
-     *  skew.  timeout_ms as for ping(). */
-    HelloReply hello(int timeout_ms = 0,
-                     const std::string &client_name = "piton-client");
+    /** Round-trip liveness probe. */
+    void ping();
     /** Graceful server shutdown; returns once ShutdownAck arrives. */
     void shutdownServer();
-
-    /**
-     * Give the connection back (for pooled reuse).  Only legal when
-     * the stream is quiescent — no stashed responses, nothing
-     * in flight — i.e. after run()/ping()/stats() returned normally.
-     * The client is unusable afterwards.
-     */
-    net::Socket releaseSocket();
-    bool reusable() const { return sock_.valid() && stashed_.empty(); }
 
   private:
     void sendFrame(const Frame &frame);
@@ -122,8 +104,6 @@ class TcpClient : public Client
     /** Read frames until one of `type` with `request_id` arrives,
      *  stashing other Response frames for later waitFor() calls. */
     Frame awaitFrame(FrameType type, std::uint64_t request_id);
-    /** waitReadable with timeout (0 = wait forever). */
-    void awaitReadable(int timeout_ms, const char *what);
 
     net::Socket sock_;
     std::uint64_t nextRequestId_ = 1;

@@ -104,8 +104,8 @@ std::vector<std::uint8_t> encodeMetrics(const SchedulerMetrics &m);
 SchedulerMetrics decodeMetrics(const std::vector<std::uint8_t> &payload);
 
 /** StatsReply payload since wire v3: worker identity ahead of the
- *  metrics, so a fleet coordinator can attribute stats to ring
- *  members without a side channel. */
+ *  metrics, so stats from several servers stay attributable without a
+ *  side channel. */
 struct WorkerStats
 {
     std::string workerId;

@@ -290,22 +290,6 @@ ExperimentServer::handleFrame(Connection &conn, Frame frame)
         enqueueFrame(conn, pong);
         return true;
     }
-    case FrameType::Hello: {
-        try {
-            (void)decodeHelloRequest(frame.payload);
-        } catch (const ServiceError &) {
-            return false; // malformed handshake
-        }
-        HelloReply h;
-        h.workerId = cfg_.workerId;
-        h.schedulerThreads = scheduler_.threadCount();
-        Frame ack;
-        ack.type = FrameType::HelloAck;
-        ack.requestId = frame.requestId;
-        ack.payload = encodeHelloReply(h);
-        enqueueFrame(conn, ack);
-        return true;
-    }
     case FrameType::StatsQuery: {
         WorkerStats s;
         s.workerId = cfg_.workerId;
@@ -330,7 +314,6 @@ ExperimentServer::handleFrame(Connection &conn, Frame frame)
     case FrameType::Pong:
     case FrameType::StatsReply:
     case FrameType::ShutdownAck:
-    case FrameType::HelloAck:
     case FrameType::VersionError:
         break; // server-to-client types are invalid from a client
     }

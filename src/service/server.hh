@@ -42,8 +42,8 @@ struct ServerConfig
 {
     /** 0 = ephemeral; read the resolved port from port(). */
     std::uint16_t port = 0;
-    /** Identity reported in HelloAck/StatsReply (fleet routing and
-     *  attribution).  Empty = "worker-<port>" once bound. */
+    /** Identity reported in StatsReply.  Empty = "worker-<port>" once
+     *  bound. */
     std::string workerId;
     SchedulerConfig scheduler;
 };
@@ -76,9 +76,6 @@ class ExperimentServer
 
     /** Resolved listening port (valid after start()). */
     std::uint16_t port() const { return port_; }
-
-    /** Worker identity (valid after start()). */
-    const std::string &workerId() const { return cfg_.workerId; }
 
     bool running() const { return running_.load(std::memory_order_acquire); }
 

@@ -129,48 +129,6 @@ encodeFrame(const Frame &frame, std::uint16_t wire_version)
 }
 
 std::vector<std::uint8_t>
-encodeHelloRequest(const HelloRequest &h)
-{
-    WireWriter w;
-    w.u16(h.wireVersion);
-    w.str(h.clientName);
-    return w.take();
-}
-
-HelloRequest
-decodeHelloRequest(const std::vector<std::uint8_t> &payload)
-{
-    WireReader r(payload);
-    HelloRequest h;
-    h.wireVersion = r.u16();
-    h.clientName = r.str();
-    r.expectEnd();
-    return h;
-}
-
-std::vector<std::uint8_t>
-encodeHelloReply(const HelloReply &h)
-{
-    WireWriter w;
-    w.u16(h.wireVersion);
-    w.str(h.workerId);
-    w.u32(h.schedulerThreads);
-    return w.take();
-}
-
-HelloReply
-decodeHelloReply(const std::vector<std::uint8_t> &payload)
-{
-    WireReader r(payload);
-    HelloReply h;
-    h.wireVersion = r.u16();
-    h.workerId = r.str();
-    h.schedulerThreads = r.u32();
-    r.expectEnd();
-    return h;
-}
-
-std::vector<std::uint8_t>
 encodeVersionError(const VersionInfo &info)
 {
     WireWriter w;

@@ -51,24 +51,25 @@ class ServiceError : public std::runtime_error
 /** Bumped on any frame-layout or body-encoding change.
  *  v2: ExperimentRequest grew an engine thread count (u32, after the
  *      engine flag).
- *  v3: fleet-aware — Hello/HelloAck worker handshake, VersionError
- *      typed mismatch frames, StatsReply carries WorkerStats (worker
- *      id + threads ahead of the metrics).
+ *  v3: worker handshake (frame types 10/11), VersionError typed
+ *      mismatch frames, StatsReply carries WorkerStats (worker id +
+ *      threads ahead of the metrics).
  *  v4: search-aware — ExperimentRequest grew Kind::PlacedRun with
  *      placement + tileFreqSteps vectors and the sampled-run opt-in
  *      (sampledSlices, sampledIntervalInsns); EnergyResult grew the
  *      sampled-estimate section (result format v2).
  *  v5: ExperimentRequest lost the engine flag (u8) and the engine
  *      thread count (u32); the service always runs the fast path on
- *      one thread per chip. */
-inline constexpr std::uint16_t kWireVersion = 5;
+ *      one thread per chip.
+ *  v6: the worker handshake is gone; frame types 10 and 11 stay
+ *      reserved. */
+inline constexpr std::uint16_t kWireVersion = 6;
 
 /**
  * Thrown when the peer speaks a different wire version.  Typed (rather
  * than a generic ServiceError) so callers can distinguish "deploy
- * mismatch, reconnecting won't help" from transient protocol damage —
- * the fleet coordinator must NOT fail over on it, and clients surface
- * it verbatim.  Carries both versions and, when known, the request id
+ * mismatch, reconnecting won't help" from transient protocol damage,
+ * and clients surface it verbatim.  Carries both versions and, when known, the request id
  * of the offending frame so a server can address its VersionError
  * reply.
  */
@@ -111,10 +112,9 @@ enum class FrameType : std::uint16_t
     StatsReply = 7,
     Shutdown = 8,
     ShutdownAck = 9,
-    /** Worker handshake (v3): client announces its version and name,
-     *  server replies with HelloAck (version, worker id, threads). */
-    Hello = 10,
-    HelloAck = 11,
+    // 10 (Hello) and 11 (HelloAck) carried the v3-v5 worker
+    // handshake.  They stay unused so an old frame can never be
+    // misread as a new type.
     /**
      * Typed version-mismatch reply (v3 servers).  The frame HEADER is
      * encoded with the *peer's* version number so the peer's strict
@@ -193,27 +193,6 @@ struct Frame
 std::vector<std::uint8_t> encodeFrame(const Frame &frame,
                                       std::uint16_t wire_version
                                       = kWireVersion);
-
-/** Hello payload (client → server). */
-struct HelloRequest
-{
-    std::uint16_t wireVersion = kWireVersion;
-    std::string clientName;
-};
-
-/** HelloAck payload (server → client): the worker's registration
- *  card — identity the fleet coordinator routes and reports by. */
-struct HelloReply
-{
-    std::uint16_t wireVersion = kWireVersion;
-    std::string workerId;
-    std::uint32_t schedulerThreads = 0;
-};
-
-std::vector<std::uint8_t> encodeHelloRequest(const HelloRequest &h);
-HelloRequest decodeHelloRequest(const std::vector<std::uint8_t> &payload);
-std::vector<std::uint8_t> encodeHelloReply(const HelloReply &h);
-HelloReply decodeHelloReply(const std::vector<std::uint8_t> &payload);
 
 /** VersionError payload.  FROZEN layout (u16 server, u16 client echo,
  *  str message): every future version must encode/decode it

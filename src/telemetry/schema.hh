@@ -113,19 +113,6 @@ inline constexpr const char *kServiceLatencyP50Ms = "service.latency_p50_ms";
 inline constexpr const char *kServiceLatencyP99Ms = "service.latency_p99_ms";
 inline constexpr const char *kServiceShed = "service.shed_total";
 
-/** Fleet-coordinator metrics (fleet::FleetCoordinator): the time axis
- *  is the export sequence number (dt = 1).  Totals are running
- *  counters; workers_up / hit_rate are gauges.  Per-worker gauges are
- *  named "fleet.worker.<id>.queue_depth" / ".hit_rate" /
- *  ".result_cache_hits" / ".result_cache_misses" from the worker's
- *  StatsReply. */
-inline constexpr const char *kFleetRequests = "fleet.requests_total";
-inline constexpr const char *kFleetRetries = "fleet.retries_total";
-inline constexpr const char *kFleetFailovers = "fleet.failovers_total";
-inline constexpr const char *kFleetWorkersUp = "fleet.workers_up";
-inline constexpr const char *kFleetHitRate = "fleet.hit_rate";
-inline constexpr const char *kFleetWorkerPrefix = "fleet.worker.";
-
 } // namespace piton::telemetry::schema
 
 #endif // PITON_TELEMETRY_SCHEMA_HH

@@ -144,9 +144,18 @@ TEST(KvFile, MalformedLinesThrowWithLineNumbers)
 TEST(KvFile, TypedAccessorsRejectBadValues)
 {
     const KvFile kv = KvFile::parseText(
-        "d = not_a_number\nu = -3\nb = maybe\nok = 7\n");
+        "d = not_a_number\nu = -3\nb = maybe\nok = 7\n"
+        "nan = nan\ninf = inf\nneg_inf = -inf\nhuge = 1e400\n"
+        "wide = 4294967297\nmax32 = 4294967295\n");
     EXPECT_THROW(kv.getDouble("d", 0.0), KvError);
+    EXPECT_THROW(kv.getDouble("nan", 0.0), KvError);
+    EXPECT_THROW(kv.getDouble("inf", 0.0), KvError);
+    EXPECT_THROW(kv.getDouble("neg_inf", 0.0), KvError);
+    EXPECT_THROW(kv.getDouble("huge", 0.0), KvError);
     EXPECT_THROW(kv.getUint("u", 0), KvError);
+    EXPECT_EQ(kv.getUint("wide", 0), 4294967297u);
+    EXPECT_THROW(kv.getUint32("wide", 0), KvError); // not 1
+    EXPECT_EQ(kv.getUint32("max32", 0), 4294967295u);
     EXPECT_THROW(kv.getBool("b", false), KvError);
     EXPECT_EQ(kv.getUint("ok", 0), 7u);
     EXPECT_TRUE(KvFile::parseText("x = yes").getBool("x", false));

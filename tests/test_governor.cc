@@ -297,6 +297,15 @@ phase1.workload  = int
                  config::KvError);
     EXPECT_THROW(governor::Scenario::fromText("tiles = 26"),
                  config::KvError);
+    // Out-of-range counts throw before narrowing (2^32 + 1 is not 1
+    // tile, 2^32 + 2 is not 2 threads), and non-finite reals throw.
+    for (const char *bad :
+         {"tiles = 4294967297", "threads_per_core = 4294967298",
+          "epoch_windows = 4294967297", "phase0.cap_w = nan",
+          "cap_w = nan", "min_freq_mhz = inf", "min_freq_mhz = nan"}) {
+        EXPECT_THROW(governor::Scenario::fromText(bad), config::KvError)
+            << bad;
+    }
     EXPECT_THROW(governor::Scenario::fromText("phases = 1\n"
                                               "phase0.cycles = 0"),
                  config::KvError);

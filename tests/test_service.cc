@@ -725,6 +725,7 @@ TEST(ServiceExecutor, CancelledBeforeRunReturnsCancelled)
 TEST(ServiceServer, TcpMatchesLocalByteForByte)
 {
     ServerConfig cfg;
+    cfg.workerId = "test-w0";
     cfg.scheduler.threads = 2;
     ExperimentServer server(cfg);
     server.start();
@@ -747,6 +748,13 @@ TEST(ServiceServer, TcpMatchesLocalByteForByte)
     const ClientResult repeat = tcp.run(req);
     EXPECT_TRUE(repeat.servedFromCache);
     EXPECT_EQ(repeat.body, over_tcp.body);
+
+    // StatsReply names the server and counts the miss and the hit.
+    const WorkerStats ws = tcp.workerStats();
+    EXPECT_EQ(ws.workerId, "test-w0");
+    EXPECT_EQ(ws.threads, 2u);
+    EXPECT_EQ(ws.metrics.resultCache.misses, 1u);
+    EXPECT_EQ(ws.metrics.resultCache.hits, 1u);
 
     server.stop();
 }

@@ -6,9 +6,9 @@
  * reassembly, seeded mutation fuzz — all must produce clean typed
  * errors, never hangs or UB (the suite runs under ASan/UBSan in CI).
  * Also covers both directions of wire-version negotiation: an older
- * (v2 or v4) client against this server gets a decodable VersionError
- * frame stamped with ITS version, and this client against an older
- * server throws VersionMismatchError, not a CRC failure.
+ * (v2, v4 or v5) client against this server gets a decodable
+ * VersionError frame stamped with ITS version, and this client against
+ * an older server throws VersionMismatchError, not a CRC failure.
  */
 
 #include <gtest/gtest.h>
@@ -41,11 +41,12 @@ pingFrame(std::uint64_t request_id)
     return f;
 }
 
-/** Older wire versions the skew tests pose as: v2 (pre-fleet) and v4,
- *  whose request body still carried the engine flag and thread count —
- *  a v5 parser must reject it by version, never misparse those 5
- *  bytes. */
-constexpr std::uint16_t kSkewedVersions[] = {2, 4};
+/** Older wire versions the skew tests pose as: v2 (before typed
+ *  VersionError frames); v4, whose request body still carried the
+ *  engine flag and thread count — a newer parser must reject it by
+ *  version, never misparse those 5 bytes; and v5, the last version
+ *  with the worker handshake (frame types 10/11). */
+constexpr std::uint16_t kSkewedVersions[] = {2, 4, 5};
 
 std::vector<std::uint8_t>
 smallRequestFrameBytes(std::uint16_t wire_version = kWireVersion)
@@ -266,6 +267,22 @@ TEST(WireFault, ServerSurvivesGarbageTruncationAndDisconnects)
         const std::uint32_t huge = kMaxPayloadBytes + 1;
         std::memcpy(bytes.data() + 16, &huge, sizeof(huge));
         net::sendAll(s, bytes.data(), 24);
+        std::uint8_t buf[16];
+        EXPECT_LE(recvSome(s, buf, sizeof(buf)), 0);
+    }
+    {
+        // A current-version frame of reserved type 10, carrying a
+        // well-formed v5 handshake payload (u16 version, str name), is
+        // an unknown type: closed, never answered.
+        net::Socket s = net::connectTcp(server.port());
+        Frame frame = pingFrame(9);
+        frame.type = static_cast<FrameType>(10);
+        WireWriter w;
+        w.u16(kWireVersion);
+        w.str("old-client");
+        frame.payload = w.take();
+        const std::vector<std::uint8_t> bytes = encodeFrame(frame);
+        net::sendAll(s, bytes.data(), bytes.size());
         std::uint8_t buf[16];
         EXPECT_LE(recvSome(s, buf, sizeof(buf)), 0);
     }

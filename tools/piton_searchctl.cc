@@ -10,7 +10,6 @@
  * Backend selection (the evaluation oracle):
  *   (default)      in-process executor with a local result memo
  *   --port N       one piton-served worker (pipelined TCP)
- *   --workers P1,P2[,...]  a sharded worker fleet
  *
  * Search options:
  *   --engine sa|ga|random   metaheuristic (default sa)
@@ -38,9 +37,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "fleet/coordinator.hh"
 #include "search/searcher.hh"
 #include "service/client.hh"
 #include "workloads/microbenchmarks.hh"
@@ -57,7 +54,7 @@ usage(const char *prog)
         stderr,
         "usage: %s <goal> [options]\n"
         "goals: minimize-epi | min-energy-capped | max-throughput\n"
-        "backend: (in-process) | --port N | --workers P1,P2[,...]\n"
+        "backend: (in-process) | --port N\n"
         "options: --engine sa|ga|random --seed N --budget N --batch N\n"
         "         --cores N --chip N --bench NAME --iterations N\n"
         "         --explore-iterations N --explore-slices N\n"
@@ -88,28 +85,6 @@ doubleValue(const char *prog, const char *value)
     if (end == value || *end != '\0')
         usage(prog);
     return v;
-}
-
-std::vector<std::uint16_t>
-parsePorts(const char *prog, const char *list)
-{
-    std::vector<std::uint16_t> ports;
-    if (list == nullptr)
-        usage(prog);
-    const std::string s = list;
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        const std::string tok = s.substr(pos, comma - pos);
-        ports.push_back(
-            static_cast<std::uint16_t>(numericValue(prog, tok.c_str())));
-        pos = comma + 1;
-    }
-    if (ports.empty())
-        usage(prog);
-    return ports;
 }
 
 std::uint16_t
@@ -171,7 +146,6 @@ main(int argc, char **argv)
     std::string engine = "sa";
     std::string out_path;
     std::uint16_t port = 0;
-    std::vector<std::uint16_t> worker_ports;
     unsigned threads = 1;
     search::SearcherOptions opts;
     search::SearchTask task;
@@ -242,9 +216,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--port") == 0) {
             port = static_cast<std::uint16_t>(numericValue(argv[0], next));
             ++i;
-        } else if (std::strcmp(a, "--workers") == 0) {
-            worker_ports = parsePorts(argv[0], next);
-            ++i;
         } else if (std::strcmp(a, "--out") == 0 && next != nullptr) {
             out_path = next;
             ++i;
@@ -258,17 +229,8 @@ main(int argc, char **argv)
         task.space = search::defaultSpace(cores, chip_id);
 
         std::unique_ptr<service::TcpClient> tcp;
-        std::unique_ptr<fleet::FleetCoordinator> fleet_coord;
         std::unique_ptr<search::Oracle> oracle;
-        if (!worker_ports.empty()) {
-            fleet::FleetConfig fcfg;
-            fcfg.workerPorts = worker_ports;
-            fcfg.clientName = "piton-searchctl";
-            fleet_coord =
-                std::make_unique<fleet::FleetCoordinator>(fcfg);
-            oracle = std::make_unique<search::FleetOracle>(*fleet_coord,
-                                                           threads);
-        } else if (port != 0) {
+        if (port != 0) {
             tcp = std::make_unique<service::TcpClient>(port);
             oracle = std::make_unique<search::ClientOracle>(*tcp);
         } else {

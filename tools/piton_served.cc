@@ -14,9 +14,9 @@
  *   --threads N       worker threads (0 = all hardware threads)
  *   --max-pending N   admission bound before requests are shed
  *   --cache-dir DIR   spill cached results to DIR (survives restarts)
- *   --worker-id ID    identity in HelloAck/StatsReply (default
- *                     worker-<port>; fleet members should pass stable
- *                     names so routing stats stay attributable)
+ *   --worker-id ID    identity in StatsReply (default worker-<port>;
+ *                     pass a stable name so stats stay attributable
+ *                     across restarts)
  *   --log-level L     silent | warn | info | debug
  *
  * SIGINT/SIGTERM trigger the same graceful shutdown as a client
