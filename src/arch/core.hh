@@ -250,13 +250,14 @@ class Core
     power::RailEnergy coreEnergy() const { return tileEnergy_.at(tile_); }
 
     /**
-     * Divert this core's charges into `log` (entries cycle-tagged
-     * relative to `base`, carrying kCapturedCoreBit) instead of
-     * accumulating, until endCapture().  The chip's run-ahead scheduler
-     * brackets each round with this; because the diverted state is
-     * core-owned, each core's phase-1 slice captures without touching
-     * the shared ledger (DESIGN.md §9).  The core's charge cycle is
-     * maintained internally by the run-ahead loops (capCycle_).
+     * Divert this core's chip-ledger charges into `log` (entries
+     * cycle-tagged relative to `base`) instead of accumulating, until
+     * endCapture().  The per-tile share is still added at charge time.
+     * The chip's run-ahead scheduler brackets each round with this;
+     * because the diverted state is core-owned, each core's phase-1
+     * slice captures without touching the shared ledger (DESIGN.md
+     * §9).  The core's charge cycle is maintained internally by the
+     * run-ahead loops (capCycle_).
      */
     void beginCapture(std::vector<power::CapturedCharge> *log, Cycle base)
     {
@@ -349,25 +350,31 @@ class Core
     void issue(ThreadState &t, ThreadId tid, Cycle now);
 
     /** Charge to the chip ledger and the per-tile accumulator.
-     *  Inline: this is called once or twice per issued instruction.
-     *  Under a core capture the charge lands in the core-owned log —
-     *  no shared ledger access, so a phase-1 slice may run out of
-     *  global cycle order; replay applies both shares later. */
+     *  Forced inline: this is called once or twice per issued
+     *  instruction, and GCC otherwise leaves out-of-line calls in the
+     *  burst loop.  Under a core capture the chip-ledger share lands in
+     *  the core-owned log — no shared ledger access, so a phase-1
+     *  slice may run out of global cycle order; replay applies it
+     *  later.  The per-tile share is added here either way: the tile's
+     *  slot only ever receives this core's charges, in this order. */
+#if defined(__GNUC__)
+    [[gnu::always_inline]]
+#endif
     void
     charge(power::Category c, const power::RailEnergy &e)
     {
-        if (capLog_) {
+        if (capLog_)
             capLog_->push_back(
                 {e, static_cast<std::uint32_t>(capCycle_ - capBase_),
-                 static_cast<std::uint8_t>(static_cast<std::uint8_t>(c)
-                                           | power::kCapturedCoreBit)});
-            return;
-        }
-        if (ledger_.addCore(c, e))
-            return; // captured: replay applies the per-tile share
+                 static_cast<std::uint8_t>(c)});
+        else
+            ledger_.add(c, e);
         tileEnergy_.add(tile_, e);
     }
 
+#if defined(__GNUC__)
+    [[gnu::always_inline]]
+#endif
     void
     chargeExec(isa::InstClass cls, RegVal rs1, RegVal rs2)
     {
@@ -403,15 +410,15 @@ class Core
     MemorySystem &mem_;
     const power::EnergyModel &energy_;
     power::EnergyLedger &ledger_;
+    /** Chip-owned SoA of per-tile accumulators; this core only ever
+     *  touches slot tile_. */
+    power::TileEnergyLedger &tileEnergy_;
     double dynFactor_;
     RegVal hwidBase_ = 0; ///< tile * threadsPerCore (Rdhwid base)
     Addr l1iLineMask_ = 0; ///< line-align mask for the fetch filter
     isa::LatencyTable lat_;
 
     std::vector<ThreadState> threads_;
-    /** Chip-owned SoA of per-tile accumulators; this core only ever
-     *  touches slot tile_. */
-    power::TileEnergyLedger &tileEnergy_;
     /** BBV histogram (see enableBbv); empty when disabled. */
     std::vector<std::uint64_t> bbv_;
     /** 64 - log2(bbvBuckets_); 0 = BBV disabled (the retire-path

@@ -1,7 +1,7 @@
 #include "arch/piton_chip.hh"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
 #include <utility>
 
 #include "checkpoint/archive.hh"
@@ -16,6 +16,10 @@ PitonChip::PitonChip(const config::PitonParams &params,
                      const power::EnergyModel &energy, std::uint64_t seed)
     : params_(params), instance_(instance), energy_(energy)
 {
+    // The run-ahead round's pause queue holds one bit per core.
+    piton_assert(params_.tileCount <= 64,
+                 "tile count %u exceeds the 64 cores a round can queue",
+                 params_.tileCount);
     mem_ = std::make_unique<MemorySystem>(params_, energy_, ledger_,
                                           memory_, seed);
     tileEnergy_.resize(params_.tileCount);
@@ -37,7 +41,8 @@ PitonChip::resetEnergy()
     runAheadRounds_ = 0;
     for (auto &log : chargeLogs_)
         log.clear();
-    pauseHeap_.clear();
+    pauseCores_ = {};
+    pauseCycles_ = 0;
 }
 
 void
@@ -228,17 +233,18 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
 {
     const std::size_t n = cores_.size();
     chargeLogs_.resize(n);
-    pauseHeap_.clear();
     Cycle maxLast = start;
     ++runAheadRounds_;
 
+    // A pause is always inside [start, lim), and lim - start is at most
+    // kRoundCycles, so its cycle offset indexes the bucket queue.
     const auto note = [&](std::size_t i, const Core::AheadResult &r) {
         if (r.ticked && r.last > maxLast)
             maxLast = r.last;
         if (r.paused) {
-            pauseHeap_.emplace_back(r.next, i);
-            std::push_heap(pauseHeap_.begin(), pauseHeap_.end(),
-                           std::greater<>{});
+            const Cycle off = r.next - start;
+            pauseCores_[off] |= std::uint64_t{1} << i;
+            pauseCycles_ |= std::uint64_t{1} << off;
         } else {
             nextAt_[i] = r.next;
         }
@@ -261,19 +267,23 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
 
     // Phase 2: execute pending shared-memory ops in global (cycle,
     // core index) order — the order in-order stepping would use — then
-    // let each core run ahead again until its next shared op.  Keys pushed while draining are always larger than
-    // the key popped, so the pop sequence stays globally sorted.  The
-    // resumed core's charges keep appending to its own log; the memory
-    // system's charges ride the chip ledger's capture into that same
-    // log.
-    while (!pauseHeap_.empty()) {
-        std::pop_heap(pauseHeap_.begin(), pauseHeap_.end(),
-                      std::greater<>{});
-        const auto [c, i] = pauseHeap_.back();
-        pauseHeap_.pop_back();
+    // let each core run ahead again until its next shared op.  The
+    // lowest set bit of the occupancy word is the earliest paused
+    // cycle, and the lowest set bit of that cycle's word its lowest
+    // core.  A resumed core only pauses again at a later cycle, so the
+    // pop sequence stays globally sorted.  The resumed core's charges
+    // keep appending to its own log; the memory system's charges ride
+    // the chip ledger's capture into that same log.
+    while (pauseCycles_ != 0) {
+        const int off = std::countr_zero(pauseCycles_);
+        std::uint64_t &cores = pauseCores_[off];
+        const auto i = static_cast<std::size_t>(std::countr_zero(cores));
+        cores &= cores - 1;
+        if (cores == 0)
+            pauseCycles_ &= pauseCycles_ - 1;
         cores_[i]->beginCapture(&chargeLogs_[i], start);
         ledger_.beginCapture(&chargeLogs_[i], start);
-        note(i, cores_[i]->resumeShared(c, lim));
+        note(i, cores_[i]->resumeShared(start + off, lim));
     }
     ledger_.endCapture();
     for (auto &core : cores_)
@@ -284,12 +294,9 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
     // floating-point sums are bit-identical to the legacy path.  Each
     // core's log is already sorted by cycle; the walk visits the
     // distinct charge cycles (as offsets from `start`), skipping gaps,
-    // and per cycle only the logs that still hold entries.
-    ledger_.replayCaptures(
-        chargeLogs_, replayCursors_,
-        [this](std::size_t i, const power::RailEnergy &e) {
-            tileEnergy_.add(i, e);
-        });
+    // and per cycle only the logs that still hold entries.  The cores
+    // already added their per-tile shares at charge time.
+    ledger_.replayCaptures(chargeLogs_, replayCursors_);
     for (auto &log : chargeLogs_)
         log.clear();
     return maxLast;
@@ -489,7 +496,8 @@ PitonChip::serialize(ckpt::Archive &ar)
         runAheadRounds_ = 0;
         for (auto &log : chargeLogs_)
             log.clear();
-        pauseHeap_.clear();
+        pauseCores_ = {};
+        pauseCycles_ = 0;
     }
 }
 

@@ -199,8 +199,10 @@ class PitonChip
     /** Cycles per run-ahead round: big enough to amortize the round's
      *  setup and keep each core's slice long (hot state, trained
      *  branches), small enough that the charge logs stay cache
-     *  resident (25 cores x 64 cycles x ~2 charges x 40 B ~ 200 KB). */
+     *  resident (25 cores x 64 cycles x ~2 charges x 32 B ~ 100 KB).
+     *  At most 64, so a round's pause cycles fit one occupancy word. */
     static constexpr Cycle kRoundCycles = 64;
+    static_assert(kRoundCycles <= 64, "pause occupancy is one 64-bit word");
 
     config::PitonParams params_;
     chip::ChipInstance instance_;
@@ -220,11 +222,15 @@ class PitonChip
      *  when idle/halted), refreshed from core return values. */
     std::vector<Cycle> nextAt_;
     /** Run-ahead round scratch (persistent to keep capacity): per-core
-     *  captured-charge logs, replay cursors, and the pending
-     *  shared-op min-heap keyed (cycle, core index). */
+     *  captured-charge logs and replay cursors. */
     std::vector<std::vector<power::CapturedCharge>> chargeLogs_;
     std::vector<power::ReplayCursor> replayCursors_;
-    std::vector<std::pair<Cycle, std::size_t>> pauseHeap_;
+    /** Pending shared ops of the current round, as a bucket queue: bit
+     *  i of pauseCores_[c - start] means core i paused at cycle c, and
+     *  bit k of pauseCycles_ means pauseCores_[k] is non-zero.  Empty
+     *  between rounds. */
+    std::array<std::uint64_t, kRoundCycles> pauseCores_{};
+    std::uint64_t pauseCycles_ = 0;
     std::uint32_t bbvBuckets_ = 0;
     std::uint64_t runAheadRounds_ = 0;
 };

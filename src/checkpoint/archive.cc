@@ -173,7 +173,10 @@ Archive::finish()
     finished_ = true;
     std::vector<std::uint8_t> out;
     out.reserve(bytes_.size() + 16);
-    out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+    // Byte-wise: GCC 12 mis-sizes a range insert from the char array
+    // into the freshly reserved buffer (-Wstringop-overflow).
+    for (const char c : kMagic)
+        out.push_back(static_cast<std::uint8_t>(c));
     putScalar(out, kFormatVersion);
     putScalar(out, sectionCount_);
     out.insert(out.end(), bytes_.begin(), bytes_.end());

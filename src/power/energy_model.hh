@@ -274,7 +274,7 @@ struct CapturedCharge
 {
     RailEnergy e;
     std::uint32_t cycleDelta = 0; ///< cycle - capture base
-    std::uint8_t cat = 0;         ///< Category, plus kCapturedCoreBit
+    std::uint8_t cat = 0;         ///< Category
 };
 static_assert(sizeof(CapturedCharge) == 32,
               "capture entries stream through caches on the hot path");
@@ -284,31 +284,15 @@ struct ReplayCursor
 {
     const CapturedCharge *next; ///< first entry not yet replayed
     const CapturedCharge *end;
-    std::size_t actor;          ///< index of the log (core) it walks
 };
 
 /**
- * Tag bit in CapturedCharge::cat: the charge also belongs to the
- * issuing core's per-tile accumulator (Core::coreEnergy).  Deferring
- * that side sum to replay keeps two serial FP adds off the issue loop;
- * the per-tile accumulator only ever receives its own core's charges,
- * whose relative order the per-core log preserves, so the deferred
- * adds produce bit-identical sums.
- */
-inline constexpr std::uint8_t kCapturedCoreBit = 0x80;
-static_assert(static_cast<std::size_t>(Category::NumCategories)
-                  <= kCapturedCoreBit,
-              "category must fit beside the core tag bit");
-
-/**
  * Per-tile energy accumulators in structure-of-arrays layout: one
- * densely packed double array per rail, indexed by tile.  The charge
- * replay touches three adjacent scalars per tile instead of a
- * RailEnergy embedded in each Core (whose neighbours in memory are the
- * core's thread state — a cache line the replay has no other use
- * for).  Each slot accumulates exactly the
- * per-rail double chains Core's old `coreEnergy_ += e` performed, so
- * sums are bit-identical to the AoS layout.
+ * densely packed double array per rail, indexed by tile.  Each core
+ * adds its own charges to its own slot as it makes them (Core::charge,
+ * also during a run-ahead round's capture), so a slot receives only
+ * its core's charges, in that core's order — the same per-rail double
+ * chains in-order stepping performs, so sums are bit-identical.
  */
 class TileEnergyLedger
 {
@@ -396,28 +380,6 @@ class EnergyLedger
     }
 
     /**
-     * add() for charges that also feed the issuing core's per-tile
-     * accumulator.  Returns true when the charge was captured — the
-     * caller must then *not* accumulate its per-tile share (replay
-     * applies it, see kCapturedCoreBit); false means the charge was
-     * accumulated directly and the caller adds its share as usual.
-     */
-    bool
-    addCore(Category c, const RailEnergy &e)
-    {
-        if (capture_) {
-            capture_->push_back(
-                {e, static_cast<std::uint32_t>(captureCycle_ - captureBase_),
-                 static_cast<std::uint8_t>(
-                     static_cast<std::uint8_t>(c) | kCapturedCoreBit)});
-            return true;
-        }
-        byCat_[static_cast<std::size_t>(c)] += e;
-        total_ += e;
-        return false;
-    }
-
-    /**
      * Divert subsequent add() calls into `log` instead of accumulating.
      * The chip's run-ahead scheduler uses this to let cores execute
      * out of global cycle order while the ledger's floating-point add
@@ -442,45 +404,46 @@ class EnergyLedger
      * exact add order in-order stepping would have used, so the
      * accumulator sums come out bit-identical.  `logs` is one sorted
      * log per actor (ascending cycleDelta); ties replay in actor
-     * order.  Entries tagged kCapturedCoreBit are also handed to
-     * `coreSink(actor, e)` for the actor's own accumulator.
+     * order.
      *
      * The walk keeps cursors only for logs with entries left, in actor
      * order (`active` is caller-owned scratch, rebuilt here): a round
      * in which a few of many actors ran visits only those logs per
      * distinct cycle, and a cursor drops out once its log is spent.
      *
-     * Defined inline so the running total stays in registers across
-     * the whole walk instead of round-tripping through memory on
-     * every entry (the walk is the fast path's second-hottest loop).
+     * Defined inline so the running total and the Exec category — the
+     * category of nearly every charge — stay in registers across the
+     * whole walk instead of round-tripping through memory on every
+     * entry (the walk is the fast path's second-hottest loop).  Each
+     * accumulator still receives its charges in the same order.
      */
-    template <typename Logs, typename CoreSink>
+    template <typename Logs>
     void
-    replayCaptures(const Logs &logs, std::vector<ReplayCursor> &active,
-                   CoreSink &&coreSink)
+    replayCaptures(const Logs &logs, std::vector<ReplayCursor> &active)
     {
         constexpr std::uint32_t kNoDelta = ~std::uint32_t{0};
+        constexpr auto kExec = static_cast<std::uint8_t>(Category::Exec);
         std::uint32_t d = kNoDelta;
         active.clear();
-        for (std::size_t i = 0; i < logs.size(); ++i) {
-            const auto &log = logs[i];
+        for (const auto &log : logs) {
             if (log.empty())
                 continue;
-            active.push_back({log.data(), log.data() + log.size(), i});
+            active.push_back({log.data(), log.data() + log.size()});
             d = std::min(d, log.front().cycleDelta);
         }
-        RailEnergy tot = total_; // register-resident chain
+        RailEnergy tot = total_;        // register-resident chains
+        RailEnergy exec = byCat_[kExec];
         while (!active.empty()) {
             std::uint32_t next_d = kNoDelta;
             std::size_t kept = 0;
             for (ReplayCursor c : active) {
                 for (; c.next != c.end && c.next->cycleDelta == d; ++c.next) {
-                    const std::uint8_t cat = c.next->cat;
                     const RailEnergy &e = c.next->e;
-                    byCat_[cat & (kCapturedCoreBit - 1)] += e;
+                    if (c.next->cat == kExec)
+                        exec += e;
+                    else
+                        byCat_[c.next->cat] += e;
                     tot += e;
-                    if (cat & kCapturedCoreBit)
-                        coreSink(c.actor, e);
                 }
                 if (c.next == c.end)
                     continue; // spent: drop the cursor
@@ -490,6 +453,7 @@ class EnergyLedger
             active.resize(kept);
             d = next_d;
         }
+        byCat_[kExec] = exec;
         total_ = tot;
     }
 

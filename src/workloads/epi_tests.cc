@@ -172,7 +172,10 @@ makeEpiProgram(const EpiVariant &variant, OperandPattern pattern,
         b.cmpi(1, 0); // zero flag set: beq always taken
         b.label("loop");
         for (std::uint32_t i = 0; i < kUnroll; ++i) {
-            const std::string next = "t" + std::to_string(i);
+            // Appended, not "t" + ...: GCC 12 warns (-Wrestrict) on
+            // the inlined insert a literal-first operator+ makes.
+            std::string next = "t";
+            next += std::to_string(i);
             b.beq(next);
             b.label(next);
         }

@@ -279,6 +279,63 @@ TEST(FastPathEquivalenceStress, HaltedSiblingWithStoresInFlight)
     EXPECT_TRUE(legacy.allHalted);
 }
 
+/**
+ * Edges of the round's pause queue.  A first pass leaves the program in
+ * every tile's L1I; reloading it restarts all 25 cores on one cycle S,
+ * so the round starts at S, every core runs 63 single-cycle ALU ops
+ * and all 25 pause before the load at S + 63: one cycle's word holds
+ * every core, at the round's last offset.  The legacy run is traced
+ * to check that the loads really issue there (a hook does not change
+ * what legacy stepping computes).
+ */
+TEST(FastPathEquivalenceStress, AllCoresPauseOnTheRoundsLastCycle)
+{
+    constexpr TileId kTiles = 25;
+    constexpr Cycle kLastOffset = 63;
+    std::string src = "set 0x40000, %r1\n";
+    for (Cycle i = 1; i < kLastOffset; ++i)
+        src += "add %r2, 1, %r2\n";
+    src += "ldx [%r1 + 0], %r3\n"
+           "add %r3, %r2, %r4\n"
+           "ldx [%r1 + 8], %r5\n"
+           "halt\n";
+    const isa::Program prog = isa::assemble(src);
+    const std::uint32_t load_pc = static_cast<std::uint32_t>(kLastOffset);
+    ASSERT_EQ(prog.decoded(load_pc).kind, isa::IssueKind::Load);
+
+    const auto run = [&](bool fast_path, std::vector<Cycle> *load_cycles) {
+        sim::SystemOptions opts;
+        opts.fastPath = fast_path;
+        sim::System sys(opts);
+        arch::PitonChip &chip = sys.pitonChip();
+        for (TileId tile = 0; tile < kTiles; ++tile)
+            sys.loadProgram(tile, 0, &prog);
+        EXPECT_TRUE(chip.run(100000).allHalted); // warm every L1I
+        for (TileId tile = 0; tile < kTiles; ++tile)
+            sys.loadProgram(tile, 0, &prog);
+        const Cycle start = chip.now();
+        if (load_cycles) {
+            chip.setTraceHook([&](TileId, ThreadId, Cycle c, Addr pc,
+                                  const isa::Instruction &) {
+                if (pc == prog.pcOf(load_pc))
+                    load_cycles->push_back(c - start);
+            });
+        }
+        const std::uint64_t rounds = chip.runAheadRounds();
+        const auto r = chip.run(100000);
+        EXPECT_TRUE(r.allHalted);
+        if (fast_path) {
+            EXPECT_GT(chip.runAheadRounds(), rounds);
+        }
+        return fingerprint(chip, r);
+    };
+
+    std::vector<Cycle> load_cycles;
+    const RunFingerprint legacy = run(false, &load_cycles);
+    EXPECT_EQ(load_cycles, std::vector<Cycle>(kTiles, kLastOffset));
+    expectEqualFingerprints(run(true, nullptr), legacy);
+}
+
 /** Store-buffer pressure: back-to-back stores overflow the 8-entry
  *  buffer, exercising rollbacks, replayed stores, and the drain
  *  interleaving with the second thread's loads. */

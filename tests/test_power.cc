@@ -3,12 +3,15 @@
  * Unit tests for the power models: energy tables, scaling laws, V-f.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "power/energy_model.hh"
 #include "power/vf_model.hh"
@@ -177,6 +180,103 @@ TEST(EnergyModel, LedgerAccumulatesByCategory)
                          + ledger.category(Category::Noc).total());
     ledger.reset();
     EXPECT_DOUBLE_EQ(ledger.total().total(), 0.0);
+}
+
+/** Rail-by-rail bit equality (EXPECT_DOUBLE_EQ would forgive ulps). */
+bool
+sameBits(const RailEnergy &a, const RailEnergy &b)
+{
+    for (const Rail r : {Rail::Vdd, Rail::Vcs, Rail::Vio}) {
+        const double x = a.get(r), y = b.get(r);
+        if (std::memcmp(&x, &y, sizeof x) != 0)
+            return false;
+    }
+    return true;
+}
+
+bool
+sameLedgerBits(const EnergyLedger &a, const EnergyLedger &b)
+{
+    if (!sameBits(a.total(), b.total()))
+        return false;
+    for (std::size_t c = 0; c < kNumCategories; ++c)
+        if (!sameBits(a.category(static_cast<Category>(c)),
+                      b.category(static_cast<Category>(c))))
+            return false;
+    return true;
+}
+
+/** A charge whose magnitude spans nine decades, so that sums of a few
+ *  of them round differently in different orders. */
+RailEnergy
+randomCharge(Rng &rng)
+{
+    RailEnergy e;
+    for (const Rail r : {Rail::Vdd, Rail::Vcs, Rail::Vio})
+        e.add(r, rng.uniform(1.0, 2.0)
+                     * std::pow(10.0, -12.0 + static_cast<double>(
+                                                  rng.below(10))));
+    return e;
+}
+
+TEST(EnergyLedger, ReplayMatchesAddInCycleActorSequenceOrder)
+{
+    // replayCaptures must perform exactly the adds in-order stepping
+    // would: cycle-major, actor-minor, and within one (cycle, actor) in
+    // log order.  Logs with random sorted deltas (ties across actors
+    // and within an actor), a mix of Exec and other categories, and
+    // order-sensitive energies; two rounds so the second starts from
+    // non-zero sums.  Adding the same charges actor-major must give
+    // different bits in some trial, or the test could not tell a
+    // misordered replay from a correct one.
+    Rng rng(0x5EED'0FF5);
+    int order_sensitive = 0;
+    for (int trial = 0; trial < 50; ++trial) {
+        EnergyLedger replayed;
+        EnergyLedger reference;
+        for (int k = 0; k < 3; ++k) { // non-zero starting sums
+            const RailEnergy e = randomCharge(rng);
+            replayed.add(Category::Exec, e);
+            reference.add(Category::Exec, e);
+        }
+        std::vector<ReplayCursor> cursors;
+        for (int round = 0; round < 2; ++round) {
+            const std::size_t actors = 1 + rng.below(8);
+            std::vector<std::vector<CapturedCharge>> logs(actors);
+            // Every charge in (actor, sequence) order; a stable sort by
+            // delta then gives the reference (delta, actor, sequence).
+            std::vector<CapturedCharge> flat;
+            for (std::size_t a = 0; a < actors; ++a) {
+                const std::size_t len = rng.below(40); // may stay empty
+                std::uint32_t delta = static_cast<std::uint32_t>(
+                    rng.below(4));
+                for (std::size_t q = 0; q < len; ++q) {
+                    delta += static_cast<std::uint32_t>(rng.below(3));
+                    const auto cat = static_cast<std::uint8_t>(
+                        rng.below(3) != 0 ? 0 : rng.below(kNumCategories));
+                    const CapturedCharge ch{randomCharge(rng), delta, cat};
+                    logs[a].push_back(ch);
+                    flat.push_back(ch);
+                }
+            }
+            std::stable_sort(flat.begin(), flat.end(),
+                             [](const CapturedCharge &x,
+                                const CapturedCharge &y) {
+                                 return x.cycleDelta < y.cycleDelta;
+                             });
+            EnergyLedger actor_major = reference;
+            for (const auto &log : logs)
+                for (const CapturedCharge &ch : log)
+                    actor_major.add(static_cast<Category>(ch.cat), ch.e);
+            replayed.replayCaptures(logs, cursors);
+            for (const CapturedCharge &ch : flat)
+                reference.add(static_cast<Category>(ch.cat), ch.e);
+            ASSERT_TRUE(sameLedgerBits(replayed, reference))
+                << "trial " << trial << " round " << round;
+            order_sensitive += !sameLedgerBits(actor_major, reference);
+        }
+    }
+    EXPECT_GT(order_sensitive, 0);
 }
 
 TEST(EnergyModel, VioEventsHitOnlyVioRail)

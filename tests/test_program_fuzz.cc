@@ -174,7 +174,8 @@ generateProgram(std::uint64_t seed)
             const std::size_t target = here + 1 + span;
             if (target >= body_len)
                 continue; // no room before the loop tail; redraw
-            std::string label = "f" + std::to_string(here);
+            std::string label = "f";
+            label += std::to_string(here);
             labels_at[target].push_back(label);
             const int a = data_reg(), c = data_reg();
             const std::uint64_t cond = rng.below(5);

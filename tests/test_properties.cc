@@ -101,9 +101,11 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<config::CacheParams> &info) {
         // L1D and L1.5 share a geometry: include the index for
         // uniqueness.
-        return "c" + std::to_string(info.index) + "_size"
-               + std::to_string(info.param.sizeBytes / 1024) + "k_line"
-               + std::to_string(info.param.lineBytes);
+        std::string name = "c";
+        name += std::to_string(info.index) + "_size"
+                + std::to_string(info.param.sizeBytes / 1024) + "k_line"
+                + std::to_string(info.param.lineBytes);
+        return name;
     });
 
 // ---------------------------------------------------------------------

@@ -151,8 +151,9 @@ TEST(SamplingFuzz, SliceSelectionIsDeterministicOnSyntheticProfiles)
         EXPECT_EQ(a.assignment, b.assignment);
         EXPECT_EQ(a.representative, b.representative);
         EXPECT_EQ(a.weightSum, b.weightSum);
-        if (!idx.empty())
+        if (!idx.empty()) {
             EXPECT_EQ(a.assignment.size(), idx.size());
+        }
     }
 }
 
