@@ -122,38 +122,15 @@ Core::totalInsts() const
     return n;
 }
 
-bool
-Core::sharedPick(const ThreadState &t) const
+void
+Core::tick(Cycle now)
 {
-    // An out-of-range pc must reach issue()'s diagnostic in global
-    // order, so treat it as shared rather than reading past the
-    // predecoded stream here.
-    if (t.pc >= t.program->size())
-        return true;
-    const isa::DecodedInst &d = t.program->decoded(t.pc);
-    switch (d.kind) {
-      case isa::IssueKind::Load:
-      case isa::IssueKind::Store:
-      case isa::IssueKind::Cas:
-        return true;
-      default:
-        break;
-    }
-    // ALU/branch/halt: core-local iff the fetch stays in the tile's
-    // own L1I (which no other tile ever touches — fills come only from
-    // this tile's ifetch misses).  probe() leaves LRU untouched; the
-    // actual tick applies the LRU update.
-    const Addr fline = d.pc & l1iLineMask_;
-    const CacheLine *cl = t.fetchRef;
-    if (cl && t.fetchLine == fline && cl->tag == fline && cl->valid())
-        return false;
-    return !mem_.l1iResident(tile_, fline);
-}
-
-template <bool Ahead>
-Core::TickOutcome
-Core::tickImpl(Cycle now)
-{
+    // Duty-gated: no issue, and also no lazy store-buffer pruning — the
+    // fast path never visits a gated core (nextEventCycle is kNever),
+    // so the legacy path must not do bookkeeping here either.  The
+    // drain is lazy/idempotent anyway; skipping it is invisible.
+    if (dvfsGated_)
+        return;
     drainStoreBuffer(now);
 
     // Round-robin thread selection starting after the last issuer, so
@@ -191,16 +168,9 @@ Core::tickImpl(Cycle now)
         }
     }
     if (pick == n)
-        return TickOutcome::NoPick;
+        return;
 
     ThreadState &t = threads_[pick];
-    if constexpr (Ahead) {
-        // Stop before anything observable happens: the resume re-picks
-        // the same thread (nothing below mutates pick inputs) and pays
-        // the switch charge then, exactly as the in-order path would.
-        if (sharedPick(t))
-            return TickOutcome::Paused;
-    }
 
     // A drafted instruction reuses the sibling's front-end work: no
     // context-switch energy is paid for it.  (Without ExecD,
@@ -235,61 +205,10 @@ Core::tickImpl(Cycle now)
             noteBbv(pick, pc_before);
     }
     draftActive_ = false;
-    return TickOutcome::Picked;
-}
-
-template Core::TickOutcome Core::tickImpl<false>(Cycle);
-template Core::TickOutcome Core::tickImpl<true>(Cycle);
-
-bool
-Core::tick(Cycle now)
-{
-    // Duty-gated: no issue, and also no lazy store-buffer pruning — the
-    // fast path never visits a gated core (nextEventCycle is kNever),
-    // so the legacy path must not do bookkeeping here either.  The
-    // drain is lazy/idempotent anyway; skipping it is invisible.
-    if (dvfsGated_)
-        return false;
-    return tickImpl<false>(now) == TickOutcome::Picked;
 }
 
 Core::AheadResult
 Core::runAhead(Cycle from, Cycle lim)
-{
-    // The burst loop covers plain round-robin over at most two thread
-    // slots; only Execution Drafting's MinPC picker and draft tracking
-    // need the generic per-cycle loop (a trace hook, which the burst
-    // does not call, keeps the chip off run-ahead altogether).
-    if (!execDrafting_ && !trace_ && threads_.size() <= 2)
-        return runAheadBurst(from, lim);
-    return runAheadGeneric(from, lim);
-}
-
-Core::AheadResult
-Core::runAheadGeneric(Cycle from, Cycle lim)
-{
-    AheadResult r;
-    Cycle cur = from;
-    for (;;) {
-        capCycle_ = cur;
-        if (tickImpl<true>(cur) == TickOutcome::Paused) {
-            r.next = cur;
-            r.paused = true;
-            return r;
-        }
-        r.last = cur;
-        r.ticked = true;
-        const Cycle next = nextEventCycle(cur + 1);
-        if (next == kNever || next >= lim) {
-            r.next = next;
-            return r;
-        }
-        cur = next;
-    }
-}
-
-Core::AheadResult
-Core::runAheadBurst(Cycle from, Cycle lim)
 {
     AheadResult r;
     ThreadState *const th[2] = {
@@ -308,7 +227,7 @@ Core::runAheadBurst(Cycle from, Cycle lim)
     Cycle cur = from;
     std::uint32_t last = lastIssued_;
     for (;;) {
-        // Round-robin pick, in tickImpl's scan order: the sibling of
+        // Round-robin pick, in tick()'s scan order: the sibling of
         // the last issuer first.  `cur` is always a cycle where at
         // least one thread is ready, so the fallback pick is ready.
         std::uint32_t pick = last ^ 1u;
@@ -316,9 +235,13 @@ Core::runAheadBurst(Cycle from, Cycle lim)
             pick = last;
         ThreadState &t = *th[pick];
 
-        // Pause before anything that would touch MemorySystem (the
-        // cases sharedPick names): resumeShared's tick re-picks the
-        // same thread, since nothing above mutates its inputs, and
+        // Pause before anything that would touch MemorySystem: a pc
+        // past the end (issue()'s diagnostic must fire in global
+        // order), a load, store or CAS, or a fetch that misses both
+        // the MRU filter and the tile's own L1I (which no other tile
+        // ever touches: fills come only from this tile's misses).
+        // resumeShared's tick re-picks the same thread, since nothing
+        // above mutates its inputs, pays the switch charge then, and
         // drains the store buffer at `cur`, past every cycle ticked
         // here.
         if (t.pc >= t.program->size())
@@ -334,7 +257,7 @@ Core::runAheadBurst(Cycle from, Cycle lim)
         if (!filter_hit && !mem_.l1iResident(tile_, fline))
             break; // I-fetch miss
 
-        // Committed to this issue: replicate tickImpl's per-cycle
+        // Committed to this issue: replicate tick()'s per-cycle
         // charge order (thread switch, fetch, exec).
         const std::uint32_t pc_issue = t.pc;
         capCycle_ = cur;
@@ -394,7 +317,7 @@ Core::runAheadBurst(Cycle from, Cycle lim)
         r.ticked = true;
         const Cycle next = std::max(cur + 1, std::min(ready[0], ready[1]));
         if (next >= lim) {
-            // tickImpl drains the store buffer on every tick; ALU,
+            // tick() drains the store buffer on every tick; ALU,
             // branch and halt issue never read it and drains are
             // monotone in time, so one drain at the last ticked cycle
             // leaves the identical buffer.
@@ -420,7 +343,7 @@ Core::resumeShared(Cycle c, Cycle lim)
     // streams land in this core's log, in charge order.
     capCycle_ = c;
     ledger_.setCaptureCycle(c);
-    tickImpl<false>(c); // the pending shared-memory op
+    tick(c); // the pending shared-memory op
     const Cycle next = nextEventCycle(c + 1);
     if (next == kNever || next >= lim)
         return {next, c, false, true};

@@ -121,10 +121,14 @@ class Core
                      const std::vector<std::pair<int, RegVal>> &init_regs = {});
 
     /**
-     * Advance the core at cycle `now`.
-     * @return true if an instruction issued this cycle.
+     * Advance the core at cycle `now`: prune completed store-buffer
+     * entries, pick a ready thread (round-robin, or ExecD's MinPC
+     * policy under Execution Drafting) and issue its next instruction.
+     * The in-order stepper (PitonChip::runLegacy) calls this for every
+     * core at every stepped cycle; the fast path calls it only for a
+     * core with work at `now`.
      */
-    bool tick(Cycle now);
+    void tick(Cycle now);
 
     /**
      * DVFS duty gate (sim::System's per-tile frequency actuation,
@@ -199,7 +203,18 @@ class Core
      * the chip can execute shared-memory ops in global (cycle, core)
      * order.  Energy charges are expected to be captured by the ledger
      * (EnergyLedger::beginCapture) and replayed in global order.
-     * Takes runAheadBurst unless Execution Drafting is on.
+     *
+     * Covers plain round-robin issue over one or two thread slots,
+     * whatever the thread status or store-buffer occupancy; the chip
+     * never calls it on a core with Execution Drafting or a trace hook
+     * (those step in order).  A slot that is not Ready reads as never
+     * ready in a local copy of the issue times.  Executes ALU/branch/
+     * halt instructions in a tight loop that skips tick()'s pick scan,
+     * per-tick store-buffer drain and next-event recomputation, and
+     * pauses before a load, store, CAS or I-fetch miss.  The buffer is
+     * drained once, at the last ticked cycle, when the slice ends (a
+     * pause leaves that to resumeShared's tick).  Charge order per
+     * cycle (switch, fetch, exec) matches tick().
      */
     AheadResult runAhead(Cycle from, Cycle lim);
 
@@ -208,8 +223,8 @@ class Core
      *  ahead core-locally until the next shared op or `lim`. */
     AheadResult resumeShared(Cycle c, Cycle lim);
 
-    /** Whether a per-instruction trace hook is installed (the chip's
-     *  run-ahead scheduler is disabled then: hook invocation order
+    /** Whether a per-instruction trace hook is installed (the chip
+     *  then steps in order through runLegacy: hook invocation order
      *  across cores is observable). */
     bool hasTraceHook() const { return static_cast<bool>(trace_); }
 
@@ -256,8 +271,8 @@ class Core
      * The chip's run-ahead scheduler brackets each round with this;
      * because the diverted state is core-owned, each core's phase-1
      * slice captures without touching the shared ledger (DESIGN.md
-     * §9).  The core's charge cycle is maintained internally by the
-     * run-ahead loops (capCycle_).
+     * §9).  The core's charge cycle is maintained internally by
+     * runAhead and resumeShared (capCycle_).
      */
     void beginCapture(std::vector<power::CapturedCharge> *log, Cycle base)
     {
@@ -269,14 +284,20 @@ class Core
     /** Store-buffer occupancy (diagnostics / tests). */
     std::size_t storeBufferDepth(Cycle now) const;
 
+    /** Prune store-buffer entries that completed by `now`.  Idempotent
+     *  and monotone in time: nothing reads a completed entry, so
+     *  pruning early is invisible.  tick() calls it every cycle; the
+     *  chip calls it on save so images do not depend on the engine. */
+    void drainStoreBuffer(Cycle now);
+
     // ---- BBV profiling (DESIGN.md §14) -------------------------------
 
     /**
      * Enable basic-block-vector accumulation: every retired instruction
      * bumps one of `buckets` hashed PC-histogram counters (noteBbv).
      * `buckets` must be a power of two in [2, 2^20]; 0 disables and
-     * frees the histogram.  Unlike the trace hook this does not disable
-     * the run-ahead engine: the counters are commutative integers
+     * frees the histogram.  Unlike the trace hook this does not take
+     * the chip off the fast path: the counters are commutative integers
      * bumped in retire order, identical under both engines.
      */
     void enableBbv(std::uint32_t buckets);
@@ -306,54 +327,13 @@ class Core
     void serialize(ckpt::Archive &ar, const ckpt::ProgramTable &pt);
 
   private:
-    /** What a tickImpl call did. */
-    enum class TickOutcome : std::uint8_t
-    {
-        NoPick, ///< no thread could issue this cycle
-        Picked, ///< a thread issued (or stalled in ifetch) this cycle
-        Paused, ///< Ahead mode only: stopped before a shared-memory op
-    };
-
-    /**
-     * One scheduling cycle.  Ahead mode returns Paused — with no state
-     * mutated beyond the (idempotent, invisible) store-buffer drain —
-     * when the picked thread's next action would touch MemorySystem.
-     */
-    template <bool Ahead>
-    TickOutcome tickImpl(Cycle now);
-
-    /** Would issuing thread `t` touch MemorySystem?  True for
-     *  load/store/CAS instructions and for fetches that miss both the
-     *  MRU filter and the tile's own L1I. */
-    bool sharedPick(const ThreadState &t) const;
-
-    /** The general per-cycle run-ahead loop (tickImpl<true> per
-     *  event), for Execution Drafting's MinPC picker and draft
-     *  tracking. */
-    AheadResult runAheadGeneric(Cycle from, Cycle lim);
-
-    /**
-     * Run-ahead for every core without Execution Drafting and with at
-     * most two thread slots, whatever its thread status or store-buffer
-     * occupancy.  A slot that is not Ready reads as never ready in a
-     * local copy of the issue times.  Executes ALU/branch/halt
-     * instructions whose fetch stays core-local in a tight loop that
-     * skips the pick scan, per-tick store-buffer drain and next-event
-     * recomputation of the generic path, and pauses before a load,
-     * store, CAS or I-fetch miss exactly where tickImpl<true> would.
-     * The buffer is drained once, at the last ticked cycle, when the
-     * slice ends (a pause leaves that to resumeShared's tick).  Charge
-     * order per cycle (switch, fetch, exec) matches tickImpl.
-     */
-    AheadResult runAheadBurst(Cycle from, Cycle lim);
-
     void issue(ThreadState &t, ThreadId tid, Cycle now);
 
     /** Charge to the chip ledger and the per-tile accumulator.
      *  Forced inline: this is called once or twice per issued
      *  instruction, and GCC otherwise leaves out-of-line calls in the
-     *  burst loop.  Under a core capture the chip-ledger share lands in
-     *  the core-owned log — no shared ledger access, so a phase-1
+     *  runAhead loop.  Under a core capture the chip-ledger share lands
+     *  in the core-owned log — no shared ledger access, so a phase-1
      *  slice may run out of global cycle order; replay applies it
      *  later.  The per-tile share is added here either way: the tile's
      *  slot only ever receives this core's charges, in this order. */
@@ -400,7 +380,6 @@ class Core
         ++bbv_[(key * 0x9E3779B97F4A7C15ull) >> bbvShift_];
     }
 
-    void drainStoreBuffer(Cycle now);
     /** Execution-Drafting check: does (program, pc) match the sibling
      *  thread's last issued instruction? Updates draft tracking. */
     bool draftCheck(ThreadId tid, const ThreadState &t);
@@ -428,8 +407,8 @@ class Core
     /** Active charge-capture log (see beginCapture), or nullptr. */
     std::vector<power::CapturedCharge> *capLog_ = nullptr;
     Cycle capBase_ = 0;
-    /** Cycle tag for captured charges; the run-ahead loops set it
-     *  before every event they execute. */
+    /** Cycle tag for captured charges; runAhead and resumeShared set
+     *  it before every event they execute. */
     Cycle capCycle_ = 0;
     std::uint32_t lastIssued_ = 0;
     /** DVFS duty gate (see setDvfsGated); not checkpointed — the

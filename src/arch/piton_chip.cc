@@ -16,10 +16,14 @@ PitonChip::PitonChip(const config::PitonParams &params,
                      const power::EnergyModel &energy, std::uint64_t seed)
     : params_(params), instance_(instance), energy_(energy)
 {
-    // The run-ahead round's pause queue holds one bit per core.
+    // The run-ahead round's pause queue holds one bit per core, and
+    // Core::runAhead issues from at most two thread slots.
     piton_assert(params_.tileCount <= 64,
                  "tile count %u exceeds the 64 cores a round can queue",
                  params_.tileCount);
+    piton_assert(params_.threadsPerCore == 1 || params_.threadsPerCore == 2,
+                 "threads per core must be 1 or 2, got %u",
+                 params_.threadsPerCore);
     mem_ = std::make_unique<MemorySystem>(params_, energy_, ledger_,
                                           memory_, seed);
     tileEnergy_.resize(params_.tileCount);
@@ -57,13 +61,21 @@ PitonChip::loadProgram(TileId tile, ThreadId tid,
 PitonChip::RunResult
 PitonChip::run(Cycle max_cycles)
 {
-    return fastPath_ ? runFast(max_cycles) : runLegacy(max_cycles);
+    // Trace hooks observe the cross-core issue order, and Execution
+    // Drafting's MinPC picker and draft tracking live only in
+    // Core::tick, so chips with either step in order.  Both are set
+    // per core, so every call checks every core.
+    bool in_order = !fastPath_;
+    for (const auto &c : cores_)
+        in_order |= c->hasTraceHook() || c->execDrafting();
+    return in_order ? runLegacy(max_cycles) : runFast(max_cycles);
 }
 
 /**
  * Reference stepping: every core is visited at every stepped cycle.
- * Kept verbatim as the equivalence baseline for the event-driven fast
- * path (select with fastPath=false).
+ * The equivalence baseline for the event-driven fast path (select with
+ * fastPath=false), and the stepper for traced and Execution-Drafting
+ * chips.
  */
 PitonChip::RunResult
 PitonChip::runLegacy(Cycle max_cycles)
@@ -109,9 +121,10 @@ PitonChip::runLegacy(Cycle max_cycles)
  * where they have ready threads, in core-index order within a cycle,
  * so instructions issue — and energy is charged — in the identical
  * per-instruction order.  Legacy additionally calls tick() on cores
- * with no ready thread, but those calls only lazily prune completed
- * store-buffer entries, which is behaviourally invisible (every
- * consumer of the buffer re-drains or filters by completion cycle).
+ * with no ready thread, but those calls only prune completed
+ * store-buffer entries, which no consumer of the buffer can observe
+ * (each re-drains or filters by completion cycle); serialize drains
+ * every buffer at now_ on save, so checkpoint images match too.
  */
 PitonChip::RunResult
 PitonChip::runFast(Cycle max_cycles)
@@ -124,13 +137,6 @@ PitonChip::runFast(Cycle max_cycles)
     nextAt_.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         nextAt_[i] = cores_[i]->nextEventCycle(now_);
-
-    // Per-instruction trace hooks observe the cross-core interleaving
-    // directly, so run-ahead (which reorders core-local work) is off
-    // for traced runs; the in-order per-cycle pass below handles them.
-    bool traced = false;
-    for (const auto &c : cores_)
-        traced |= c->hasTraceHook();
 
     // Scan state: earliest event cycle, how many cores share it, the
     // index of the first such core, and the earliest event of any
@@ -181,7 +187,7 @@ PitonChip::runFast(Cycle max_cycles)
             nextAt_[first_i] = w.next;
             now_ = w.last;
             scan();
-        } else if (!traced) {
+        } else {
             // Multiple cores share this cycle: run a core-major
             // run-ahead round.  Each core executes its core-local
             // stretch in one contiguous slice, shared-memory ops are
@@ -189,39 +195,6 @@ PitonChip::runFast(Cycle max_cycles)
             // replay reconstructs the in-order ledger add sequence.
             now_ = runAheadRound(first, std::min(first + kRoundCycles, end));
             scan();
-        } else {
-            // Multiple cores share this cycle: interleave them in core
-            // index order, exactly like the legacy per-cycle step.  The
-            // pass recomputes the scan state from the updated events as
-            // it goes, so the steady all-cores-active case never pays a
-            // separate scan.
-            const Cycle cycle = first;
-            first = second = Core::kNever;
-            first_i = 0;
-            at_first = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                Cycle e = nextAt_[i];
-                if (e <= cycle) { // kNever never compares <=
-                    const Core::WindowResult w =
-                        cores_[i]->runWindow(cycle, cycle);
-                    e = w.next;
-                    nextAt_[i] = e;
-                }
-                if (e == Core::kNever)
-                    continue;
-                if (e < first) {
-                    second = first;
-                    first = e;
-                    first_i = i;
-                    at_first = 1;
-                } else if (e == first) {
-                    ++at_first;
-                    second = e;
-                } else if (e < second) {
-                    second = e;
-                }
-            }
-            now_ = cycle;
         }
     }
     res.cyclesElapsed = max_cycles - (end - now_);
@@ -460,7 +433,16 @@ PitonChip::serialize(ckpt::Archive &ar)
     ar.endSection();
 
     // Cores last: the fetch-filter handles re-resolve against the
-    // restored L1I arrays.
+    // restored L1I arrays.  On save, every store buffer is first
+    // drained at now_: in-order stepping prunes completed entries on
+    // every tick of every core, the fast path only on the cores it
+    // visits, so without this the same architectural state would save
+    // to different bytes under each engine.  Images from before this
+    // drain still load; their completed entries drain on the first
+    // tick.
+    if (ar.saving())
+        for (auto &core : cores_)
+            core->drainStoreBuffer(now_);
     ar.beginSection("chip.cores");
     for (auto &core : cores_)
         core->serialize(ar, pt);

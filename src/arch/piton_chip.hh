@@ -63,11 +63,14 @@ class PitonChip
     /**
      * Select the stepping engine.  The fast path (default) is the
      * event-driven scheduler: an indexed per-core next-event cache so
-     * halted/stalled cores are never touched, plus batched core-local
-     * issue when a single core owns the event window.  The legacy path
-     * steps every core every visited cycle; both produce bit-identical
-     * architectural state and energy ledgers (tests/
-     * test_fastpath_equiv.cc).
+     * halted/stalled cores are never touched, batched core-local issue
+     * when a single core owns the event window, and run-ahead rounds
+     * when several cores share it.  The legacy path steps every core
+     * every visited cycle; both produce bit-identical architectural
+     * state, energy ledgers and checkpoint images (tests/
+     * test_fastpath_equiv.cc).  A chip with a trace hook or Execution
+     * Drafting on any core always steps in order (legacy), whatever
+     * this says.
      */
     void setFastPath(bool enabled) { fastPath_ = enabled; }
     bool fastPath() const { return fastPath_; }

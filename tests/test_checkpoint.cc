@@ -876,10 +876,10 @@ TEST(CheckpointRunAhead, ResetEnergyClearsRoundState)
  * burst loop with stores still in flight, and the burst drains the
  * store buffer once on exit instead of on every tick.  A checkpoint at
  * a window boundary with stores in flight must resume bit-identically
- * and re-save byte for byte.  A traced run (which ticks every core at
- * each of its event cycles, draining every time) must save the same
- * image, so the deferred drain leaves the store-buffer state a per-tick
- * drain would.
+ * and re-save byte for byte.  A traced run (which steps in order,
+ * ticking every core at each stepped cycle and draining every time)
+ * must save the same image, so the deferred drain leaves the
+ * store-buffer state a per-tick drain would.
  */
 TEST(CheckpointBurst, StoresInFlightResumeBitIdentically)
 {
@@ -958,6 +958,44 @@ TEST(CheckpointBurst, StoresInFlightResumeBitIdentically)
     recordWindows(resumed, kTotalWindows - at, fp);
     finishFingerprint(resumed, rec, fp);
     EXPECT_TRUE(fp == straight);
+}
+
+/**
+ * The same architectural state saves to the same bytes under either
+ * engine.  In-order stepping ticks every core at every stepped cycle,
+ * pruning completed store-buffer entries as it goes; the fast path
+ * only visits cores with work, so its buffers can still hold completed
+ * entries when the run stops.  Save drains every buffer at now(), so
+ * the images agree.  Each point below left completed entries in a
+ * fast-path buffer before that drain existed.
+ */
+TEST(CheckpointEngines, FastAndLegacyImagesAreByteIdentical)
+{
+    struct Point
+    {
+        workloads::Microbench bench;
+        std::uint32_t cores;
+        Cycle cycles;
+    };
+    const Point points[] = {
+        {workloads::Microbench::Hist, 9, 777},
+        {workloads::Microbench::Hist, 9, 5003},
+        {workloads::Microbench::Hist, 9, 40009},
+        {workloads::Microbench::HP, 3, 777},
+    };
+    for (const Point &pt : points) {
+        SCOPED_TRACE(std::string(workloads::microbenchName(pt.bench)) + " "
+                     + std::to_string(pt.cores) + "x1 at "
+                     + std::to_string(pt.cycles) + " cycles");
+        const auto image = [&](bool fast_path) {
+            sim::System sys(optsFor(fast_path));
+            const auto programs =
+                workloads::loadMicrobench(sys, pt.bench, pt.cores, 1, 0);
+            sys.pitonChip().run(pt.cycles);
+            return sys.pitonChip().saveBytes();
+        };
+        EXPECT_EQ(image(true), image(false));
+    }
 }
 
 // ---- governed checkpoints (format v3: sys.governor section) ----------

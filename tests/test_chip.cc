@@ -1,14 +1,21 @@
 /**
  * @file
- * Unit tests for the chip module: variation, yield, area, fmax solver.
+ * Unit tests for the chip module: variation, yield, area, fmax solver,
+ * and the shapes a PitonChip accepts.
  */
+
+#include <cstdint>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "arch/piton_chip.hh"
 #include "chip/area_model.hh"
 #include "chip/chip_instance.hh"
 #include "chip/fmax_solver.hh"
 #include "chip/yield_model.hh"
+#include "config/piton_params.hh"
+#include "power/energy_model.hh"
 
 namespace piton::chip
 {
@@ -44,6 +51,33 @@ TEST(ChipInstance, TileVariationIsSmallAndDeterministic)
 TEST(ChipInstance, UnknownIdIsFatal)
 {
     EXPECT_EXIT(makeChip(9), testing::ExitedWithCode(1), "unknown chip id");
+}
+
+/** Run-ahead issues from at most two thread slots, and a round queues
+ *  at most 64 cores: the constructor refuses any other shape. */
+TEST(PitonChipShape, ThreadsPerCoreMustBeOneOrTwo)
+{
+    const power::EnergyModel energy;
+    config::PitonParams params;
+    for (const std::uint32_t tpc : {0u, 3u}) {
+        params.threadsPerCore = tpc;
+        EXPECT_THROW(arch::PitonChip(params, makeChip(2), energy),
+                     std::logic_error)
+            << tpc << " threads per core";
+    }
+    for (const std::uint32_t tpc : {1u, 2u}) {
+        params.threadsPerCore = tpc;
+        EXPECT_NO_THROW(arch::PitonChip(params, makeChip(2), energy));
+    }
+}
+
+TEST(PitonChipShape, TileCountMustFitOneRoundWord)
+{
+    const power::EnergyModel energy;
+    config::PitonParams params;
+    params.tileCount = 65;
+    EXPECT_THROW(arch::PitonChip(params, makeChip(2), energy),
+                 std::logic_error);
 }
 
 TEST(YieldModel, ProbabilitiesSumToOne)

@@ -111,10 +111,11 @@ expectEqualFingerprints(const RunFingerprint &fast,
     EXPECT_TRUE(fast == legacy);
 }
 
-/** Run one microbenchmark on a full 25-core system. */
+/** Run one microbenchmark on a full 25-core system; `rounds` gets the
+ *  run-ahead rounds the run took. */
 RunFingerprint
 runMicrobench(workloads::Microbench m, bool fast_path, bool drafting,
-              Cycle cycles)
+              Cycle cycles, std::uint64_t &rounds)
 {
     sim::SystemOptions opts;
     opts.fastPath = fast_path;
@@ -123,6 +124,7 @@ runMicrobench(workloads::Microbench m, bool fast_path, bool drafting,
         sys.pitonChip().setExecDrafting(true);
     const auto programs = workloads::loadMicrobench(sys, m, 25, 2, 0);
     const auto r = sys.pitonChip().run(cycles);
+    rounds = sys.pitonChip().runAheadRounds();
     return fingerprint(sys.pitonChip(), r);
 }
 
@@ -137,9 +139,19 @@ class FastPathEquivalence : public ::testing::TestWithParam<EquivParam>
 TEST_P(FastPathEquivalence, MicrobenchIsBitIdentical)
 {
     const auto [bench, drafting] = GetParam();
-    const auto fast = runMicrobench(bench, true, drafting, 30000);
-    const auto legacy = runMicrobench(bench, false, drafting, 30000);
+    std::uint64_t fast_rounds = 0;
+    std::uint64_t legacy_rounds = 0;
+    const auto fast = runMicrobench(bench, true, drafting, 30000, fast_rounds);
+    const auto legacy =
+        runMicrobench(bench, false, drafting, 30000, legacy_rounds);
     expectEqualFingerprints(fast, legacy);
+    EXPECT_EQ(legacy_rounds, 0u);
+    // Execution Drafting keeps a fast-path chip stepping in order.
+    if (drafting) {
+        EXPECT_EQ(fast_rounds, 0u);
+    } else {
+        EXPECT_GT(fast_rounds, 0u);
+    }
 }
 
 std::string
