@@ -208,9 +208,24 @@ Core::tick(Cycle now)
 }
 
 Core::AheadResult
-Core::runAhead(Cycle from, Cycle lim)
+Core::runAhead(Cycle c, Cycle lim)
 {
+    // The event at `c` may be a shared-memory op: its core-side charges
+    // tag through capCycle_, its memory-side charges through the chip
+    // ledger's capture (the chip pops events in global (cycle, core)
+    // order, so touching the shared ledger here is safe).  Both streams
+    // land in this core's log, in charge order.
+    capCycle_ = c;
+    ledger_.setCaptureCycle(c);
+    tick(c);
     AheadResult r;
+    r.last = c;
+    Cycle cur = nextEventCycle(c + 1);
+    if (cur == kNever || cur >= lim) {
+        r.next = cur;
+        return r;
+    }
+
     ThreadState *const th[2] = {
         &threads_[0], threads_.size() == 2 ? &threads_[1] : nullptr};
     // Local issue times: a slot that is not Ready (idle, halted or
@@ -224,7 +239,6 @@ Core::runAhead(Cycle from, Cycle lim)
     // of the loop keeps the charged bits identical.
     const power::RailEnergy switch_e =
         energy_.threadSwitchEnergy().scaled(dynFactor_);
-    Cycle cur = from;
     std::uint32_t last = lastIssued_;
     for (;;) {
         // Round-robin pick, in tick()'s scan order: the sibling of
@@ -240,10 +254,10 @@ Core::runAhead(Cycle from, Cycle lim)
         // order), a load, store or CAS, or a fetch that misses both
         // the MRU filter and the tile's own L1I (which no other tile
         // ever touches: fills come only from this tile's misses).
-        // resumeShared's tick re-picks the same thread, since nothing
-        // above mutates its inputs, pays the switch charge then, and
-        // drains the store buffer at `cur`, past every cycle ticked
-        // here.
+        // The next runAhead call starts with a tick at `cur` that
+        // re-picks the same thread, since nothing above mutates its
+        // inputs, pays the switch charge then, and drains the store
+        // buffer at `cur`, past every cycle this call issued at.
         if (t.pc >= t.program->size())
             break;
         const isa::DecodedInst &d = t.program->decoded(t.pc);
@@ -314,12 +328,11 @@ Core::runAhead(Cycle from, Cycle lim)
             noteBbv(pick, pc_issue);
 
         r.last = cur;
-        r.ticked = true;
         const Cycle next = std::max(cur + 1, std::min(ready[0], ready[1]));
         if (next >= lim) {
             // tick() drains the store buffer on every tick; ALU,
             // branch and halt issue never read it and drains are
-            // monotone in time, so one drain at the last ticked cycle
+            // monotone in time, so one drain at the last issue cycle
             // leaves the identical buffer.
             drainStoreBuffer(cur);
             lastIssued_ = last;
@@ -331,26 +344,6 @@ Core::runAhead(Cycle from, Cycle lim)
     lastIssued_ = last;
     r.next = cur;
     r.paused = true;
-    return r;
-}
-
-Core::AheadResult
-Core::resumeShared(Cycle c, Cycle lim)
-{
-    // The shared op's core-side charges tag through capCycle_; its
-    // memory-side charges go through the chip ledger's capture (phase 2
-    // runs serially, so touching the shared ledger here is safe).  Both
-    // streams land in this core's log, in charge order.
-    capCycle_ = c;
-    ledger_.setCaptureCycle(c);
-    tick(c); // the pending shared-memory op
-    const Cycle next = nextEventCycle(c + 1);
-    if (next == kNever || next >= lim)
-        return {next, c, false, true};
-    AheadResult r = runAhead(next, lim);
-    if (!r.ticked || r.last < c)
-        r.last = c;
-    r.ticked = true;
     return r;
 }
 

@@ -169,83 +169,50 @@ class Core
         return next;
     }
 
-    /** Outcome of a batched runWindow call. */
-    struct WindowResult
-    {
-        /** Raw next-event cycle after the window (kNever when all
-         *  threads halted); always > the window's `until` bound. */
-        Cycle next = kNever;
-        /** The last cycle this core ticked (>= the window's `from`). */
-        Cycle last = 0;
-    };
-
-    /** Outcome of a run-ahead slice (see runAhead / resumeShared). */
+    /** Outcome of a run-ahead slice (see runAhead). */
     struct AheadResult
     {
         /** When paused: the cycle of the pending shared-memory op.
          *  Otherwise: the next event cycle (>= the slice limit, or
          *  kNever when all threads halted). */
         Cycle next = kNever;
-        /** Last cycle this core ticked; only valid when `ticked`. */
+        /** Last cycle this core issued at (>= the slice's `c`). */
         Cycle last = 0;
         /** Stopped *before* a shared-memory op at cycle `next`. */
         bool paused = false;
-        /** At least one tick executed in this slice. */
-        bool ticked = false;
     };
 
     /**
-     * Run-ahead slice for the chip's core-major scheduler: execute this
-     * core's events in [from, lim) as long as they are provably
-     * core-local (ALU/branch/halt instructions whose fetch hits the
-     * tile's own L1I).  The slice pauses *before* the first event that
-     * would touch MemorySystem (load/store/CAS or an I-fetch miss) so
-     * the chip can execute shared-memory ops in global (cycle, core)
-     * order.  Energy charges are expected to be captured by the ledger
-     * (EnergyLedger::beginCapture) and replayed in global order.
+     * Run-ahead slice for the chip's run-ahead round: tick() the event
+     * at cycle `c` (the chip calls this in global (cycle, core) order,
+     * so that event may touch MemorySystem), then run this core's
+     * events in (c, lim) as long as they are provably core-local
+     * (ALU/branch/halt instructions whose fetch hits the tile's own
+     * L1I).  The slice pauses *before* the first later event that
+     * would touch MemorySystem (load/store/CAS or an I-fetch miss); the
+     * chip queues it and calls runAhead again at that cycle.  Energy
+     * charges are expected to be captured (beginCapture here,
+     * EnergyLedger::beginCapture for the memory side) and replayed in
+     * global order.
      *
      * Covers plain round-robin issue over one or two thread slots,
      * whatever the thread status or store-buffer occupancy; the chip
      * never calls it on a core with Execution Drafting or a trace hook
      * (those step in order).  A slot that is not Ready reads as never
-     * ready in a local copy of the issue times.  Executes ALU/branch/
-     * halt instructions in a tight loop that skips tick()'s pick scan,
-     * per-tick store-buffer drain and next-event recomputation, and
-     * pauses before a load, store, CAS or I-fetch miss.  The buffer is
-     * drained once, at the last ticked cycle, when the slice ends (a
-     * pause leaves that to resumeShared's tick).  Charge order per
-     * cycle (switch, fetch, exec) matches tick().
+     * ready in a local copy of the issue times.  After the tick at `c`
+     * it executes ALU/branch/halt instructions in a tight loop that
+     * skips tick()'s pick scan, per-tick store-buffer drain and
+     * next-event recomputation.  The buffer is drained once, at the
+     * last issue cycle, when the slice ends (a pause leaves that to the
+     * next call's tick).  Charge order per cycle (switch, fetch, exec)
+     * matches tick().
      */
-    AheadResult runAhead(Cycle from, Cycle lim);
-
-    /** Execute the pending shared-memory op at cycle `c` (the pause
-     *  point a previous runAhead returned), then continue running
-     *  ahead core-locally until the next shared op or `lim`. */
-    AheadResult resumeShared(Cycle c, Cycle lim);
+    AheadResult runAhead(Cycle c, Cycle lim);
 
     /** Whether a per-instruction trace hook is installed (the chip
      *  then steps in order through runLegacy: hook invocation order
      *  across cores is observable). */
     bool hasTraceHook() const { return static_cast<bool>(trace_); }
-
-    /**
-     * Fast-path batched issue: run this core's events in the inclusive
-     * window [from, until] without returning to the chip loop.  The
-     * caller (PitonChip's event scheduler) guarantees no other core
-     * has an event inside the window, so per-instruction charge order
-     * matches the legacy per-cycle stepping exactly.
-     */
-    WindowResult runWindow(Cycle from, Cycle until)
-    {
-        Cycle cur = from;
-        for (;;) {
-            tick(cur);
-            const Cycle next = nextEventCycle(cur + 1);
-            if (next == kNever || next > until)
-                return {next, cur};
-            cur = next;
-        }
-    }
 
     bool allThreadsDone() const;
 
@@ -268,11 +235,11 @@ class Core
      * Divert this core's chip-ledger charges into `log` (entries
      * cycle-tagged relative to `base`) instead of accumulating, until
      * endCapture().  The per-tile share is still added at charge time.
-     * The chip's run-ahead scheduler brackets each round with this;
-     * because the diverted state is core-owned, each core's phase-1
-     * slice captures without touching the shared ledger (DESIGN.md
-     * §9).  The core's charge cycle is maintained internally by
-     * runAhead and resumeShared (capCycle_).
+     * The chip's run-ahead round calls this once per participating
+     * core; because the diverted state is core-owned, a core's
+     * core-local stretch captures without touching the shared ledger
+     * (DESIGN.md §9).  The core's charge cycle is maintained
+     * internally by runAhead (capCycle_).
      */
     void beginCapture(std::vector<power::CapturedCharge> *log, Cycle base)
     {
@@ -333,10 +300,11 @@ class Core
      *  Forced inline: this is called once or twice per issued
      *  instruction, and GCC otherwise leaves out-of-line calls in the
      *  runAhead loop.  Under a core capture the chip-ledger share lands
-     *  in the core-owned log — no shared ledger access, so a phase-1
-     *  slice may run out of global cycle order; replay applies it
-     *  later.  The per-tile share is added here either way: the tile's
-     *  slot only ever receives this core's charges, in this order. */
+     *  in the core-owned log — no shared ledger access, so a
+     *  core-local stretch may run out of global cycle order; replay
+     *  applies it later.  The per-tile share is added here either way:
+     *  the tile's slot only ever receives this core's charges, in this
+     *  order. */
 #if defined(__GNUC__)
     [[gnu::always_inline]]
 #endif
@@ -407,8 +375,8 @@ class Core
     /** Active charge-capture log (see beginCapture), or nullptr. */
     std::vector<power::CapturedCharge> *capLog_ = nullptr;
     Cycle capBase_ = 0;
-    /** Cycle tag for captured charges; runAhead and resumeShared set
-     *  it before every event they execute. */
+    /** Cycle tag for captured charges; runAhead sets it before every
+     *  event it executes. */
     Cycle capCycle_ = 0;
     std::uint32_t lastIssued_ = 0;
     /** DVFS duty gate (see setDvfsGated); not checkpointed — the

@@ -112,19 +112,19 @@ PitonChip::runLegacy(Cycle max_cycles)
  * Event-driven stepping.  A per-core next-event cache replaces the
  * legacy triple scan (allThreadsDone / tick / nextEventCycle over all
  * cores per stepped cycle): each iteration finds the earliest event
- * cycle and only touches cores with work there.  When a single core
- * owns the window up to the next other-core event, it batches
- * back-to-back issue locally (Core::runWindow) without returning to
- * this loop.
+ * cycle and runs one run-ahead round from there, which touches only
+ * the cores with work inside it, however many they are.
  *
  * Equivalence with runLegacy: cores are visited at exactly the cycles
- * where they have ready threads, in core-index order within a cycle,
- * so instructions issue — and energy is charged — in the identical
- * per-instruction order.  Legacy additionally calls tick() on cores
- * with no ready thread, but those calls only prune completed
- * store-buffer entries, which no consumer of the buffer can observe
- * (each re-drains or filters by completion cycle); serialize drains
- * every buffer at now_ on save, so checkpoint images match too.
+ * where they have ready threads; every event that touches shared state
+ * runs in global (cycle, core index) order, and the charge replay adds
+ * every energy charge in that order, so instructions issue — and energy
+ * is charged — in the identical per-instruction order.  Legacy
+ * additionally calls tick() on cores with no ready thread, but those
+ * calls only prune completed store-buffer entries, which no consumer of
+ * the buffer can observe (each re-drains or filters by completion
+ * cycle); serialize drains every buffer at now_ on save, so checkpoint
+ * images match too.
  */
 PitonChip::RunResult
 PitonChip::runFast(Cycle max_cycles)
@@ -133,44 +133,15 @@ PitonChip::runFast(Cycle max_cycles)
     RunResult res;
     const std::size_t n = cores_.size();
     // Refresh the cache on entry: loadProgram or direct Core
-    // manipulation between run() calls happens out of band.
+    // manipulation between run() calls happens out of band.  Cached
+    // entries never fall behind now_ afterwards (cores only ever
+    // schedule forward), so no clamping is needed.
     nextAt_.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         nextAt_[i] = cores_[i]->nextEventCycle(now_);
 
-    // Scan state: earliest event cycle, how many cores share it, the
-    // index of the first such core, and the earliest event of any
-    // *other* core (the batch horizon when exactly one core owns the
-    // first event).  Cached entries never fall behind now_ (cores only
-    // ever schedule forward), so no clamping is needed.
-    Cycle first = Core::kNever;
-    Cycle second = Core::kNever;
-    std::size_t first_i = 0;
-    std::uint32_t at_first = 0;
-    const auto scan = [&] {
-        first = second = Core::kNever;
-        first_i = 0;
-        at_first = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const Cycle e = nextAt_[i];
-            if (e == Core::kNever)
-                continue;
-            if (e < first) {
-                second = first;
-                first = e;
-                first_i = i;
-                at_first = 1;
-            } else if (e == first) {
-                ++at_first;
-                second = e;
-            } else if (e < second) {
-                second = e;
-            }
-        }
-    };
-    scan();
-
     while (now_ < end) {
+        const Cycle first = *std::min_element(nextAt_.begin(), nextAt_.end());
         if (first == Core::kNever) {
             res.allHalted = true;
             break;
@@ -179,23 +150,7 @@ PitonChip::runFast(Cycle max_cycles)
             now_ = end;
             break;
         }
-        if (at_first == 1) {
-            // Sole owner of [first, until]: batch issue core-locally.
-            const Cycle until = std::min(second, end) - 1;
-            const Core::WindowResult w =
-                cores_[first_i]->runWindow(first, until);
-            nextAt_[first_i] = w.next;
-            now_ = w.last;
-            scan();
-        } else {
-            // Multiple cores share this cycle: run a core-major
-            // run-ahead round.  Each core executes its core-local
-            // stretch in one contiguous slice, shared-memory ops are
-            // serialized in global (cycle, core) order, and the charge
-            // replay reconstructs the in-order ledger add sequence.
-            now_ = runAheadRound(first, std::min(first + kRoundCycles, end));
-            scan();
-        }
+        now_ = runAheadRound(first, std::min(first + kRoundCycles, end));
     }
     res.cyclesElapsed = max_cycles - (end - now_);
     return res;
@@ -209,44 +164,37 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
     Cycle maxLast = start;
     ++runAheadRounds_;
 
-    // A pause is always inside [start, lim), and lim - start is at most
-    // kRoundCycles, so its cycle offset indexes the bucket queue.
-    const auto note = [&](std::size_t i, const Core::AheadResult &r) {
-        if (r.ticked && r.last > maxLast)
-            maxLast = r.last;
-        if (r.paused) {
-            const Cycle off = r.next - start;
-            pauseCores_[off] |= std::uint64_t{1} << i;
-            pauseCycles_ |= std::uint64_t{1} << off;
-        } else {
-            nextAt_[i] = r.next;
-        }
+    // Every event the round serves is inside [start, lim), and
+    // lim - start is at most kRoundCycles, so its cycle offset indexes
+    // the bucket queue.
+    const auto queue = [&](std::size_t i, Cycle c) {
+        const Cycle off = c - start;
+        pauseCores_[off] |= std::uint64_t{1} << i;
+        pauseCycles_ |= std::uint64_t{1} << off;
     };
 
-    // Phase 1: each participating core runs its core-local events in
-    // [nextAt_, lim) back to back, pausing before the first op that
-    // would touch the shared memory system.  Core-local slices touch
-    // only the core's own state and its own tile's L1I (fills come
-    // only from that tile's fetches; an L1I hit charges nothing to the
-    // shared ledger), and every charge is diverted into the core-owned
-    // log.
+    // Seed the queue with each participating core's first event.  Each
+    // core's charges are diverted into its own log for the whole round.
     for (std::size_t i = 0; i < n; ++i) {
         const Cycle e = nextAt_[i];
         if (e >= lim) // includes kNever
             continue;
         cores_[i]->beginCapture(&chargeLogs_[i], start);
-        note(i, cores_[i]->runAhead(e, lim));
+        queue(i, e);
     }
 
-    // Phase 2: execute pending shared-memory ops in global (cycle,
-    // core index) order — the order in-order stepping would use — then
-    // let each core run ahead again until its next shared op.  The
-    // lowest set bit of the occupancy word is the earliest paused
-    // cycle, and the lowest set bit of that cycle's word its lowest
-    // core.  A resumed core only pauses again at a later cycle, so the
-    // pop sequence stays globally sorted.  The resumed core's charges
-    // keep appending to its own log; the memory system's charges ride
-    // the chip ledger's capture into that same log.
+    // Serve queued events in global (cycle, core index) order — the
+    // order in-order stepping would use.  The lowest set bit of the
+    // occupancy word is the earliest queued cycle, and the lowest set
+    // bit of that cycle's word its lowest core.  Each pop ticks the
+    // core's event (which may be a shared-memory op), then lets it run
+    // ahead core-locally until its next shared op, which it queues, or
+    // the round's end.  That next op is always at a later cycle, so the
+    // pop sequence stays globally sorted.  Core-local stretches touch
+    // only the core's own state and its own tile's L1I (fills come only
+    // from that tile's fetches; an L1I hit charges nothing to the
+    // shared ledger).  The memory system's charges ride the chip
+    // ledger's capture into the popped core's log.
     while (pauseCycles_ != 0) {
         const int off = std::countr_zero(pauseCycles_);
         std::uint64_t &cores = pauseCores_[off];
@@ -254,21 +202,25 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
         cores &= cores - 1;
         if (cores == 0)
             pauseCycles_ &= pauseCycles_ - 1;
-        cores_[i]->beginCapture(&chargeLogs_[i], start);
         ledger_.beginCapture(&chargeLogs_[i], start);
-        note(i, cores_[i]->resumeShared(start + off, lim));
+        const Core::AheadResult r = cores_[i]->runAhead(start + off, lim);
+        maxLast = std::max(maxLast, r.last);
+        if (r.paused)
+            queue(i, r.next);
+        else
+            nextAt_[i] = r.next;
     }
     ledger_.endCapture();
     for (auto &core : cores_)
         core->endCapture();
 
-    // Phase 3: replay the captured charges cycle-major, core-minor —
-    // the exact add order of in-order stepping, so the ledger's
-    // floating-point sums are bit-identical to the legacy path.  Each
-    // core's log is already sorted by cycle; the walk visits the
-    // distinct charge cycles (as offsets from `start`), skipping gaps,
-    // and per cycle only the logs that still hold entries.  The cores
-    // already added their per-tile shares at charge time.
+    // Replay the captured charges cycle-major, core-minor — the exact
+    // add order of in-order stepping, so the ledger's floating-point
+    // sums are bit-identical to the legacy path.  Each core's log is
+    // already sorted by cycle; the walk visits the distinct charge
+    // cycles (as offsets from `start`), skipping gaps, and per cycle
+    // only the logs that still hold entries.  The cores already added
+    // their per-tile shares at charge time.
     ledger_.replayCaptures(chargeLogs_, replayCursors_);
     for (auto &log : chargeLogs_)
         log.clear();

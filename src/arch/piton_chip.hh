@@ -63,14 +63,13 @@ class PitonChip
     /**
      * Select the stepping engine.  The fast path (default) is the
      * event-driven scheduler: an indexed per-core next-event cache so
-     * halted/stalled cores are never touched, batched core-local issue
-     * when a single core owns the event window, and run-ahead rounds
-     * when several cores share it.  The legacy path steps every core
-     * every visited cycle; both produce bit-identical architectural
-     * state, energy ledgers and checkpoint images (tests/
-     * test_fastpath_equiv.cc).  A chip with a trace hook or Execution
-     * Drafting on any core always steps in order (legacy), whatever
-     * this says.
+     * halted/stalled cores are never touched, and a run-ahead round for
+     * every event window, however many cores have work in it.  The
+     * legacy path steps every core every visited cycle; both produce
+     * bit-identical architectural state, energy ledgers and checkpoint
+     * images (tests/test_fastpath_equiv.cc).  A chip with a trace
+     * hook or Execution Drafting on any core always steps in order
+     * (legacy), whatever this says.
      */
     void setFastPath(bool enabled) { fastPath_ = enabled; }
     bool fastPath() const { return fastPath_; }
@@ -189,13 +188,14 @@ class PitonChip
     RunResult runFast(Cycle max_cycles);
 
     /**
-     * Core-major run-ahead round over [start, lim): phase 1 lets each
-     * core execute its core-local events in one contiguous slice
-     * (charges captured per core), phase 2 executes the shared-memory
-     * ops the slices paused at in global (cycle, core) order, phase 3
-     * replays the captured charges in that same order so the ledger's
-     * floating-point sums match in-order stepping bit for bit.
-     * Returns the last cycle any core ticked (>= start).
+     * Core-major run-ahead round over [start, lim): every participating
+     * core's first event seeds a bucket queue, and one pop loop serves
+     * the queued events in global (cycle, core) order, each pop ticking
+     * that event and letting the core run ahead core-locally until its
+     * next shared-memory op (queued) or `lim` (Core::runAhead).  Charges
+     * are captured per core and then replayed in that same order, so
+     * the ledger's floating-point sums match in-order stepping bit for
+     * bit.  Returns the last cycle any core issued at (>= start).
      */
     Cycle runAheadRound(Cycle start, Cycle lim);
 
@@ -203,9 +203,9 @@ class PitonChip
      *  setup and keep each core's slice long (hot state, trained
      *  branches), small enough that the charge logs stay cache
      *  resident (25 cores x 64 cycles x ~2 charges x 32 B ~ 100 KB).
-     *  At most 64, so a round's pause cycles fit one occupancy word. */
+     *  At most 64, so a round's queued cycles fit one occupancy word. */
     static constexpr Cycle kRoundCycles = 64;
-    static_assert(kRoundCycles <= 64, "pause occupancy is one 64-bit word");
+    static_assert(kRoundCycles <= 64, "queue occupancy is one 64-bit word");
 
     config::PitonParams params_;
     chip::ChipInstance instance_;
@@ -228,10 +228,11 @@ class PitonChip
      *  captured-charge logs and replay cursors. */
     std::vector<std::vector<power::CapturedCharge>> chargeLogs_;
     std::vector<power::ReplayCursor> replayCursors_;
-    /** Pending shared ops of the current round, as a bucket queue: bit
-     *  i of pauseCores_[c - start] means core i paused at cycle c, and
-     *  bit k of pauseCycles_ means pauseCores_[k] is non-zero.  Empty
-     *  between rounds. */
+    /** Queued events of the current round (each core's first event,
+     *  then the shared ops it paused at), as a bucket queue: bit i of
+     *  pauseCores_[c - start] means core i has its next event at cycle
+     *  c, and bit k of pauseCycles_ means pauseCores_[k] is non-zero.
+     *  Empty between rounds. */
     std::array<std::uint64_t, kRoundCycles> pauseCores_{};
     std::uint64_t pauseCycles_ = 0;
     std::uint32_t bbvBuckets_ = 0;

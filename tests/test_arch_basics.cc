@@ -9,7 +9,6 @@
 #include "arch/cache.hh"
 #include "arch/chipset.hh"
 #include "arch/memory.hh"
-#include "arch/mitts.hh"
 #include "arch/noc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -412,65 +411,6 @@ TEST_F(ChipsetTest, CrossingChargesVioAndBridge)
     EXPECT_GT(ledger_.category(power::Category::ChipBridge)
                   .get(power::Rail::Vio),
               0.0);
-}
-
-TEST(Mitts, DisabledShaperNeverDelays)
-{
-    Mitts m;
-    EXPECT_EQ(m.requestDepartureCycle(100), 100u);
-    EXPECT_EQ(m.requestDepartureCycle(101), 101u);
-    EXPECT_EQ(m.delayedRequests(), 0u);
-}
-
-TEST(Mitts, BinForCoversPowerOfTwoRanges)
-{
-    MittsParams p;
-    p.numBins = 4;
-    p.binCredits = {1, 1, 1, 1};
-    Mitts m(p);
-    EXPECT_EQ(m.binFor(0), 0u);
-    EXPECT_EQ(m.binFor(1), 0u);
-    EXPECT_EQ(m.binFor(2), 1u);
-    EXPECT_EQ(m.binFor(3), 1u);
-    EXPECT_EQ(m.binFor(4), 2u);
-    EXPECT_EQ(m.binFor(100), 3u); // clamps to last bin
-}
-
-TEST(Mitts, ShapingDelaysBurstTraffic)
-{
-    MittsParams p;
-    p.numBins = 4;
-    p.binCredits = {0, 0, 2, 2}; // only long inter-arrival credits
-    p.refillPeriod = 1000;
-    Mitts m(p);
-    // A burst of back-to-back requests exhausts credits quickly.
-    Cycle now = 0;
-    std::uint64_t delays = 0;
-    for (int i = 0; i < 8; ++i) {
-        const Cycle depart = m.requestDepartureCycle(now);
-        delays += (depart > now);
-        now = depart + 1;
-    }
-    EXPECT_GT(m.delayedRequests(), 0u);
-    EXPECT_EQ(m.totalRequests(), 8u);
-    EXPECT_GT(delays, 0u);
-}
-
-TEST(Mitts, CreditsRefillEachPeriod)
-{
-    MittsParams p;
-    p.numBins = 2;
-    p.binCredits = {1, 1};
-    p.refillPeriod = 100;
-    Mitts m(p);
-    EXPECT_EQ(m.requestDepartureCycle(0), 0u);
-    EXPECT_EQ(m.requestDepartureCycle(1), 1u);
-    // Credits exhausted: the third request waits for the refill.
-    const Cycle depart = m.requestDepartureCycle(2);
-    EXPECT_GE(depart, 100u);
-    // The refill consumed the long-gap credit; a gap-50 request maps
-    // to the (now empty) long bin and stalls to the next refill.
-    EXPECT_EQ(m.requestDepartureCycle(depart + 50), 200u);
 }
 
 } // namespace

@@ -169,26 +169,37 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()),
     equivParamName);
 
+/** What expectBitIdenticalEngines hands back for extra checks. */
+struct EngineRuns
+{
+    RunFingerprint legacy;
+    /** Run-ahead rounds the fast engine took. */
+    std::uint64_t fastRounds = 0;
+};
+
 /**
  * Load a chip with `load(sys)` (its return value keeps the programs
  * alive), run it for `cycles` on the legacy engine and on the fast
- * engine, and expect the fingerprints to match; the legacy one is
- * returned for extra checks.
+ * engine, and expect the fingerprints to match; the legacy fingerprint
+ * and the fast engine's round count are returned for extra checks.
  */
 template <typename Load>
-RunFingerprint
+EngineRuns
 expectBitIdenticalEngines(sim::SystemOptions opts, Cycle cycles, Load &&load)
 {
+    EngineRuns out;
     const auto run = [&](bool fast_path) {
         opts.fastPath = fast_path;
         sim::System sys(opts);
         [[maybe_unused]] const auto programs = load(sys);
         const auto r = sys.pitonChip().run(cycles);
+        if (fast_path)
+            out.fastRounds = sys.pitonChip().runAheadRounds();
         return fingerprint(sys.pitonChip(), r);
     };
-    const RunFingerprint legacy = run(false);
-    expectEqualFingerprints(run(true), legacy);
-    return legacy;
+    out.legacy = run(false);
+    expectEqualFingerprints(run(true), out.legacy);
+    return out;
 }
 
 /** (cores, threads per core) of a partly loaded chip. */
@@ -209,11 +220,14 @@ TEST_P(PartialChipEquivalence, ShapeIsBitIdentical)
 {
     const auto [bench, shape] = GetParam();
     const auto [cores, tpc] = shape;
-    const auto legacy =
+    const auto runs =
         expectBitIdenticalEngines({}, 30000, [&](sim::System &sys) {
             return workloads::loadMicrobench(sys, bench, cores, tpc, 0);
         });
-    EXPECT_GT(legacy.totalInsts, 0u);
+    EXPECT_GT(runs.legacy.totalInsts, 0u);
+    // Every fast-path event window is a run-ahead round, a lone core's
+    // included.
+    EXPECT_GT(runs.fastRounds, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -239,12 +253,12 @@ TEST(FastPathEquivalenceStress, SingleSlotCoresAreBitIdentical)
 {
     sim::SystemOptions opts;
     opts.cfg.piton.threadsPerCore = 1;
-    const auto legacy =
+    const auto runs =
         expectBitIdenticalEngines(opts, 30000, [](sim::System &sys) {
             return workloads::loadMicrobench(
                 sys, workloads::Microbench::HP, 4, 1, 0);
         });
-    EXPECT_GT(legacy.totalInsts, 0u);
+    EXPECT_GT(runs.legacy.totalInsts, 0u);
 }
 
 /** One sibling halts early while the other keeps storing: the
@@ -279,7 +293,7 @@ TEST(FastPathEquivalenceStress, HaltedSiblingWithStoresInFlight)
         halt
     )");
 
-    const auto legacy = expectBitIdenticalEngines(
+    const auto runs = expectBitIdenticalEngines(
         {}, 400000, [&](sim::System &sys) {
             for (TileId tile = 0; tile < 9; ++tile) {
                 const ThreadId halts = tile % 2;
@@ -288,7 +302,7 @@ TEST(FastPathEquivalenceStress, HaltedSiblingWithStoresInFlight)
             }
             return 0; // the programs are this test's locals
         });
-    EXPECT_TRUE(legacy.allHalted);
+    EXPECT_TRUE(runs.legacy.allHalted);
 }
 
 /**
