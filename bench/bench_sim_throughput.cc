@@ -3,7 +3,7 @@
  * Engineering microbenchmarks (google-benchmark): simulator throughput
  * of the pieces that dominate experiment runtime — core issue loop,
  * memory-system transactions, NoC packet routing, thermal stepping,
- * and a full measurement window.
+ * a full measurement window and chip construction.
  */
 
 #include <benchmark/benchmark.h>
@@ -142,6 +142,26 @@ BM_MeasurementWindow(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MeasurementWindow);
+
+/**
+ * Chip construction: what every sweep point, service miss and sampled
+ * slice pays before it simulates.  A System with a loaded 25 x 2 T/C
+ * Int workload, built and torn down (perfbench paper_sweep's set-up
+ * step).
+ */
+void
+BM_SystemConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        sim::System sys;
+        const auto programs = workloads::loadMicrobench(
+            sys, workloads::Microbench::Int, 25, 2, /*iterations=*/0);
+        benchmark::DoNotOptimize(programs.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SystemConstruct)->Unit(benchmark::kMicrosecond);
 
 /**
  * Sweep throughput: eight V-f operating points, each a full System

@@ -14,9 +14,12 @@
 #ifndef PITON_ARCH_CACHE_HH
 #define PITON_ARCH_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <memory>
+#include <span>
+#include <type_traits>
+#include <utility>
 
 #include "common/types.hh"
 #include "config/piton_params.hh"
@@ -46,6 +49,30 @@ struct CacheLine
     bool operator==(const CacheLine &) const = default;
 };
 
+// CacheLine{} is all zero bytes, so zero-filled pages hold default lines.
+static_assert(static_cast<int>(Mesi::Invalid) == 0);
+static_assert(std::is_trivially_copyable_v<CacheLine>);
+
+/** Unmaps a mapZeroLines() block. */
+struct LineUnmap
+{
+    std::size_t bytes = 0;
+    void operator()(CacheLine *lines) const;
+};
+
+/** Owner of a block of lines on anonymous pages. */
+using LinePages = std::unique_ptr<CacheLine, LineUnmap>;
+
+/**
+ * `n` CacheLine{}s on fresh anonymous zero-filled pages (POSIX mmap).
+ * Mapping writes nothing, and a page costs resident memory only once a
+ * line on it is written, so a chip pays only for the lines it touches.
+ * (calloc does not give this: once a large block is freed, glibc
+ * raises its mmap threshold, serves the next one from the heap and
+ * memsets it.)  Throws std::bad_alloc when the mapping fails.
+ */
+LinePages mapZeroLines(std::size_t n);
+
 /** Result of a fill: the line that was evicted, if any. */
 struct Eviction
 {
@@ -54,10 +81,28 @@ struct Eviction
     Mesi state = Mesi::Invalid;
 };
 
+/**
+ * Lines live on zero pages (mapZeroLines), and the array tracks the
+ * window [lo, hi) of line indices that fill() or a checkpoint load
+ * ever wrote since the last flushAll(); every line outside it is
+ * CacheLine{}.  Lookups reach only valid lines, which lie inside the
+ * window, and every whole-array scan (flushAll, validCount, serialize)
+ * walks only the window, so untouched lines cost neither time nor
+ * resident memory.
+ */
 class CacheArray
 {
   public:
+    /** An array on its own zero pages. */
     explicit CacheArray(const config::CacheParams &params);
+
+    /** An array on `next`, which must hold slots(params) CacheLine{}s
+     *  and outlive the array; advances `next` past them. */
+    CacheArray(const config::CacheParams &params, CacheLine *&next);
+
+    /** Lines an array of this geometry takes from its storage: the
+     *  host-cache stagger pad plus sets * ways. */
+    static std::size_t slots(const config::CacheParams &params);
 
     std::uint32_t numSets() const { return sets_; }
     std::uint32_t ways() const { return ways_; }
@@ -96,7 +141,7 @@ class CacheArray
     /** Mutable handle to a resident line, or nullptr.  Does not touch
      *  LRU; callers caching the pointer must revalidate tag+state on
      *  every use (fills can repurpose the slot).  Pointers stay alive
-     *  for the array's lifetime (the line vector never reallocates). */
+     *  for the array's lifetime (line storage never moves). */
     CacheLine *lineAt(Addr addr) { return find(addr); }
 
     /** Change a resident line's state; false if the line is absent. */
@@ -114,9 +159,18 @@ class CacheArray
     /** Drop all contents (power-on reset). */
     void flushAll();
 
+    /** All sets * ways lines, row-major (tests, diagnostics). */
+    std::span<const CacheLine> lines() const
+    {
+        return {lines_, static_cast<std::size_t>(sets_) * ways_};
+    }
+
+    /** The written-line window [lo, hi) (tests, diagnostics). */
+    std::pair<std::size_t, std::size_t> window() const { return {lo_, hi_}; }
+
     /**
-     * Checkpoint hook.  The pad_ stagger is derived from the host
-     * allocation address and differs run to run, so only the
+     * Checkpoint hook.  The stagger pad is derived from the host
+     * address of the array and differs run to run, so only the
      * sets_ * ways_ real lines are serialized (geometry is
      * fingerprinted, not restored: the array must be constructed with
      * the same CacheParams first).
@@ -124,7 +178,8 @@ class CacheArray
      * Sparse (format v6, Archive::ioSparse): only lines that differ
      * from CacheLine{} are listed.  That compares all three fields,
      * not valid(): invalidate() keeps tag and lastUse, and those must
-     * round-trip too.
+     * round-trip too.  Only the window is scanned and, on load, reset;
+     * the bytes are those of a scan over the whole array.
      */
     template <typename Ar>
     void
@@ -133,25 +188,40 @@ class CacheArray
         ar.ioExpect(sets_, "cache sets");
         ar.ioExpect(ways_, "cache ways");
         ar.ioExpect(lineBytes_, "cache line bytes");
+        const std::size_t n = static_cast<std::size_t>(sets_) * ways_;
+        const std::size_t lo = lo_, hi = hi_;
+        // A load that throws part-way may have written any line; the
+        // whole-array window keeps the invariant until a load succeeds.
+        if (ar.loading()) {
+            lo_ = 0;
+            hi_ = n;
+        }
         // Entry: u32 index, u64 tag, u64 state (ioEnum), u64 lastUse.
-        ar.template ioSparse<std::uint32_t>(
-            lines_.data() + pad_, static_cast<std::size_t>(sets_) * ways_,
-            8 + 8 + 8,
+        const auto listed = ar.template ioSparse<std::uint32_t>(
+            lines_, n, 8 + 8 + 8,
             [&](CacheLine &cl) {
                 ar.io(cl.tag);
                 ar.ioEnum(cl.state, static_cast<Mesi>(4)); // one past Modified
                 ar.io(cl.lastUse);
             },
-            "cache line");
+            "cache line", lo, hi);
+        if (ar.loading()) {
+            lo_ = listed.first;
+            hi_ = listed.second;
+        }
     }
 
   private:
+    /** Lines on `storage`, or on `own` when it holds a block. */
+    CacheArray(const config::CacheParams &params, CacheLine *storage,
+               LinePages own);
+
     CacheLine *
     find(Addr addr)
     {
         const Addr line = lineAlign(addr);
         const std::size_t base =
-            pad_ + static_cast<std::size_t>(setOf(addr)) * ways_;
+            static_cast<std::size_t>(setOf(addr)) * ways_;
         for (std::uint32_t w = 0; w < ways_; ++w) {
             CacheLine &cl = lines_[base + w];
             if (cl.valid() && cl.tag == line)
@@ -170,16 +240,10 @@ class CacheArray
     std::uint32_t lineBytes_;
     std::uint32_t lineShift_;  ///< log2(lineBytes_)
     bool setsPow2_;
-    /**
-     * Leading dummy entries in lines_, staggering each instance's hot
-     * metadata across host-cache sets.  The 25 tiles run identical
-     * programs at identical addresses, so without the stagger every
-     * tile's hot line sits at the same offset of a same-sized
-     * allocation and the per-cycle tile sweep thrashes a single host
-     * L1 set.  Model-visible behaviour is unaffected.
-     */
-    std::uint32_t pad_ = 0;
-    std::vector<CacheLine> lines_; // pad_ + sets_ * ways_, row-major
+    LinePages own_;             ///< the standalone array's pages, else empty
+    CacheLine *lines_ = nullptr; ///< sets_ * ways_ lines, row-major
+    std::size_t lo_ = 0;        ///< written-line window [lo_, hi_)
+    std::size_t hi_ = 0;
 };
 
 } // namespace piton::arch

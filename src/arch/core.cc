@@ -265,11 +265,15 @@ Core::runAhead(Cycle c, Cycle lim)
             || d.kind == isa::IssueKind::Cas)
             break;
         const Addr fline = d.pc & l1iLineMask_;
-        CacheLine *const cl = t.fetchRef;
-        const bool filter_hit = cl && t.fetchLine == fline
-                                && cl->tag == fline && cl->valid();
-        if (!filter_hit && !mem_.l1iResident(tile_, fline))
-            break; // I-fetch miss
+        CacheLine *cl = t.fetchRef;
+        if (!cl || t.fetchLine != fline || cl->tag != fline
+            || !cl->valid()) [[unlikely]] {
+            cl = mem_.l1iLine(tile_, fline);
+            if (!cl)
+                break; // I-fetch miss
+            t.fetchLine = fline;
+            t.fetchRef = cl;
+        }
 
         // Committed to this issue: replicate tick()'s per-cycle
         // charge order (thread switch, fetch, exec).
@@ -281,14 +285,7 @@ Core::runAhead(Cycle c, Cycle lim)
         }
         last = pick;
 
-        if (filter_hit) [[likely]] {
-            cl->lastUse = cur;
-        } else {
-            const std::uint32_t extra = mem_.ifetch(tile_, d.pc, cur);
-            piton_assert(extra == 0, "resident L1I line missed in ifetch");
-            t.fetchLine = fline;
-            t.fetchRef = mem_.l1iLine(tile_, fline);
-        }
+        cl->lastUse = cur; // the L1I hit's LRU touch
 
         const isa::InstClass cls = d.cls;
         switch (d.kind) {
@@ -360,25 +357,26 @@ Core::issue(ThreadState &t, ThreadId tid, Cycle now)
     const isa::DecodedInst &d = t.program->decoded(t.pc);
 
     // Instruction fetch.  The per-thread MRU filter handles the
-    // common same-line repeat fetch: revalidate the cached line and
-    // apply the LRU touch the full lookup would.  Anything else (line
-    // crossing, eviction, invalidation) takes the full L1I path; an
-    // L1I miss stalls the thread and retries.
+    // common same-line repeat fetch: revalidate the cached line.
+    // Anything else (line crossing, eviction, invalidation) looks the
+    // line up in the L1I once; an L1I miss stalls the thread (the miss
+    // latency is never 0) and retries.  A hit applies the LRU touch.
     const Addr fline = d.pc & l1iLineMask_;
-    CacheLine *const cl = t.fetchRef;
-    if (cl && t.fetchLine == fline && cl->tag == fline && cl->valid())
-        [[likely]] {
-        cl->lastUse = now;
-    } else {
-        const std::uint32_t fetch_extra = mem_.ifetch(tile_, d.pc, now);
-        if (fetch_extra > 0) {
+    CacheLine *cl = t.fetchRef;
+    if (!cl || t.fetchLine != fline || cl->tag != fline || !cl->valid())
+        [[unlikely]] {
+        cl = mem_.l1iLine(tile_, fline);
+        if (!cl) {
+            const std::uint32_t fetch_extra =
+                mem_.ifetchMiss(tile_, fline, now);
             t.readyAt = now + fetch_extra;
             t.memStallCycles += fetch_extra;
             return;
         }
         t.fetchLine = fline;
-        t.fetchRef = mem_.l1iLine(tile_, fline);
+        t.fetchRef = cl;
     }
+    cl->lastUse = now;
 
     const isa::InstClass cls = d.cls;
 

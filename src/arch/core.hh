@@ -66,7 +66,8 @@ struct ThreadState
      * on the cached line and applies the same LRU touch the full
      * lookup would, skipping the associative way scan (whose data-
      * dependent early exit mispredicts badly with 50 interleaved
-     * threads).  Any mismatch falls back to MemorySystem::ifetch.
+     * threads).  Any mismatch takes one L1I lookup
+     * (MemorySystem::l1iLine), then MemorySystem::ifetchMiss on a miss.
      */
     Addr fetchLine = ~Addr{0};
     CacheLine *fetchRef = nullptr;

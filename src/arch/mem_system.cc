@@ -47,11 +47,13 @@ MemorySystem::MemorySystem(const config::PitonParams &params,
                            std::uint64_t seed)
     : params_(params), energy_(energy), ledger_(ledger), memory_(memory),
       noc_(params, energy, ledger), chipset_(energy, ledger, seed),
+      cacheLines_(mapZeroLines(Tile::slots(params) * params.tileCount)),
       mapping_(params.sliceMapping)
 {
+    CacheLine *next = cacheLines_.get();
     tiles_.reserve(params_.tileCount);
     for (TileId t = 0; t < params_.tileCount; ++t)
-        tiles_.emplace_back(params_);
+        tiles_.emplace_back(params_, next);
 }
 
 Addr

@@ -108,9 +108,7 @@ class MemorySystem
     AccessOutcome atomicCas(TileId tile, Addr addr, RegVal expected,
                             RegVal swap, RegVal &old, Cycle now);
 
-    /** Extra fetch latency beyond the pipeline (0 on an L1I hit).  The
-     *  hit check inlines into the issue engine; only misses leave the
-     *  header (ifetchMiss). */
+    /** Extra fetch latency beyond the pipeline (0 on an L1I hit). */
     std::uint32_t ifetch(TileId tile, Addr pc, Cycle now)
     {
         const Addr line = pc & ~static_cast<Addr>(params_.l1i.lineBytes - 1);
@@ -119,18 +117,17 @@ class MemorySystem
         return ifetchMiss(tile, line, now);
     }
 
-    /** Resident-L1I line handle for the issue engine's per-thread MRU
-     *  fetch cache (see Core::issue); nullptr when not resident. */
+    /** L1I miss path of ifetch(): fills the line from the home L2 and
+     *  returns the extra latency (never 0); `line` is line-aligned and
+     *  not resident. */
+    std::uint32_t ifetchMiss(TileId tile, Addr line, Cycle now);
+
+    /** Resident-L1I line handle, without the LRU touch (Core applies
+     *  it and keeps the handle in its per-thread MRU fetch filter);
+     *  nullptr when not resident. */
     CacheLine *l1iLine(TileId tile, Addr line)
     {
         return tiles_[tile].l1i.lineAt(line);
-    }
-
-    /** Side-effect-free L1I residency check (no LRU touch), used by the
-     *  run-ahead scheduler to classify a fetch as core-local. */
-    bool l1iResident(TileId tile, Addr line) const
-    {
-        return tiles_[tile].l1i.probe(line) != Mesi::Invalid;
     }
 
     // ---- chipset-facing interface (Fig. 12 experiment) --------------
@@ -207,15 +204,21 @@ class MemorySystem
         CacheArray l15;
         CacheArray l2; ///< this tile's slice of the shared L2
 
-        Tile(const config::PitonParams &p)
-            : l1i(p.l1i), l1d(p.l1d), l15(p.l15), l2(p.l2Slice)
+        /** Takes the four arrays' lines from `next` and advances it. */
+        Tile(const config::PitonParams &p, CacheLine *&next)
+            : l1i(p.l1i, next), l1d(p.l1d, next), l15(p.l15, next),
+              l2(p.l2Slice, next)
         {}
+
+        static std::size_t
+        slots(const config::PitonParams &p)
+        {
+            return CacheArray::slots(p.l1i) + CacheArray::slots(p.l1d)
+                   + CacheArray::slots(p.l15) + CacheArray::slots(p.l2Slice);
+        }
     };
 
     Addr l2LineAlign(Addr a) const;
-
-    /** Out-of-line L1I miss path of ifetch(); `line` is line-aligned. */
-    std::uint32_t ifetchMiss(TileId tile, Addr line, Cycle now);
 
     /** Fetch a 16 B subline into tile's L1.5 (and optionally L1D) with
      *  the given MESI state; handles L1.5 dirty evictions. */
@@ -260,6 +263,7 @@ class MemorySystem
     NocNetwork noc_;
     Chipset chipset_;
     MemLatencies lat_;
+    LinePages cacheLines_; ///< every tile's arrays, on one zero-page block
     std::vector<Tile> tiles_;
     std::unordered_map<Addr, DirEntry> directory_; ///< keyed by L2 line
     /** Atomic RMWs serialize at the home L2 slice; this tracks when

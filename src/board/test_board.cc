@@ -31,7 +31,7 @@ TestBoard::channel(power::Rail r) const
 void
 TestBoard::setSupply(power::Rail r, double volts)
 {
-    piton_assert(volts > 0.0 && volts < 2.5, "supply setpoint %.2f V out of"
+    piton_assert(supplyInRange(volts), "supply setpoint %.2f V out of"
                  " the board's range", volts);
     channel(r).setpointV = volts;
 }

@@ -67,8 +67,14 @@ class TestBoard
     MonitorParams &monitor() { return monitor_; }
     const MonitorParams &monitor() const { return monitor_; }
 
-    /** Program a supply setpoint. */
+    /** Program a supply setpoint (panics outside supplyInRange). */
     void setSupply(power::Rail r, double volts);
+
+    /** Whether a rail can be set to `volts`. */
+    static bool supplyInRange(double volts)
+    {
+        return volts > 0.0 && volts < 2.5;
+    }
 
     /** True voltage at the socket pins while drawing `current_a`. */
     double socketVoltage(power::Rail r, double current_a) const;

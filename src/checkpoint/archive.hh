@@ -43,6 +43,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace piton::ckpt
@@ -156,28 +157,42 @@ class Archive
      * Sparse array of `n` elements (format v6): the count of elements
      * that differ from T{}, then (Index, element) pairs in strictly
      * ascending index order, each element through `io_elem`, which
-     * encodes `elem_bytes` bytes.  Loading resets all `n` elements to
-     * T{} first and rejects a count above `n`, an index out of range
-     * or not ascending, and a listed element equal to T{}, so every
-     * accepted payload re-saves to the same bytes.  `what` names the
-     * element in error messages.
+     * encodes `elem_bytes` bytes.  Loading rejects a count above `n`,
+     * an index out of range or not ascending, and a listed element
+     * equal to T{}, so every accepted payload re-saves to the same
+     * bytes.  `what` names the element in error messages.
+     *
+     * Only the window [lo, hi) (default: all `n`) is touched: the
+     * caller guarantees that every element outside it is T{}.  Saving
+     * scans only the window; loading resets only the window to T{}
+     * before reading, and may then write any index below `n`.  Returns
+     * the span [first, last + 1) of the listed indices, or [0, 0) when
+     * none is listed; a load throws before returning, so a caller that
+     * tracks a window must assume any element may have been written.
      */
     template <typename Index, typename T, typename IoElem>
-    void
+    std::pair<std::size_t, std::size_t>
     ioSparse(T *items, std::size_t n, std::uint64_t elem_bytes,
-             IoElem io_elem, const char *what)
+             IoElem io_elem, const char *what, std::size_t lo = 0,
+             std::size_t hi = SIZE_MAX)
     {
+        hi = std::min(hi, n);
+        lo = std::min(lo, hi);
         std::uint64_t live = 0;
         if (saving())
             live = static_cast<std::uint64_t>(std::count_if(
-                items, items + n, [](const T &x) { return x != T{}; }));
+                items + lo, items + hi, [](const T &x) { return x != T{}; }));
         live = ioSize(live, sizeof(Index) + elem_bytes);
         if (live > n)
             throw CheckpointError(std::string(what)
                                   + " count exceeds capacity");
         if (loading())
-            std::fill(items, items + n, T{});
-        std::size_t next = 0; // lowest index the next entry may take
+            std::fill(items + lo, items + hi, T{});
+        if (live == 0)
+            return {0, 0};
+        // Lowest index the next entry may take.
+        std::size_t next = saving() ? lo : 0;
+        std::size_t first = 0;
         for (std::uint64_t k = 0; k < live; ++k) {
             if (saving())
                 while (items[next] == T{})
@@ -194,8 +209,11 @@ class Archive
             if (items[idx] == T{})
                 throw CheckpointError(std::string(what)
                                       + " listed at its default");
+            if (k == 0)
+                first = idx;
             next = static_cast<std::size_t>(idx) + 1;
         }
+        return {first, next};
     }
 
     /**

@@ -770,8 +770,14 @@ System::serializeSystem(ckpt::Archive &ar)
         ar.ioExpect(std::string(gov_->name()), "governor policy");
         ar.io(effVddV_);
         ar.io(effClockMhz_);
+        ckpt::Archive::check(board::TestBoard::supplyInRange(effVddV_),
+                             "governor vdd out of the board's range");
+        ckpt::Archive::check(std::isfinite(effClockMhz_) && effClockMhz_ > 0.0,
+                             "governor clock out of range");
         ar.io(dutyDen_);
         std::uint64_t ng = ar.ioSize(dutyNum_.size(), 4);
+        ckpt::Archive::check(ng == opts_.cfg.piton.tileCount,
+                             "governor tile count mismatch");
         if (ar.loading()) {
             const auto sz = static_cast<std::size_t>(ng);
             dutyNum_.resize(sz);

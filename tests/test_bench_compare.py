@@ -5,8 +5,10 @@ A self-compare must pass, a 2x slowdown must be flagged, and results
 from hosts with a different CPU count must be refused — for a saved
 perfbench output and for a google-benchmark JSON file.  A perfbench
 metric is judged against its BENCHMARK.json bound, and google-benchmark
-files from hosts with different caches are refused.  Variants of the
-two fixtures are derived into a temporary directory.
+files from hosts with different caches are refused.  Pair mode
+(``--old``/``--new``) applies the nine-in-ten-pairs and interquartile
+rule for a gain and the bound for worse.  Variants of the two fixtures
+are derived into a temporary directory.
 """
 
 import json
@@ -28,6 +30,12 @@ def run(old, new):
     return p.returncode, p.stdout, p.stderr
 
 
+def run_pairs(olds, news):
+    p = subprocess.run([sys.executable, TOOL, "--old"] + olds
+                       + ["--new"] + news, capture_output=True, text=True)
+    return p.returncode, p.stdout, p.stderr
+
+
 class BenchCompare(unittest.TestCase):
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
@@ -41,7 +49,7 @@ class BenchCompare(unittest.TestCase):
             f.write(text)
         return path
 
-    def perf_variant(self, name, wall_factor=1.0, nproc=4):
+    def perf_variant(self, name, wall_factor=1.0, nproc=4, setup_factor=1.0):
         with open(PERF) as f:
             lines = f.read().splitlines()
         out = []
@@ -51,9 +59,22 @@ class BenchCompare(unittest.TestCase):
             elif line.startswith("{"):
                 obj = json.loads(line)
                 obj["metrics"]["wall_s"]["value"] *= wall_factor
+                obj["metrics"]["setup_s"]["value"] *= setup_factor
                 line = json.dumps(obj)
             out.append(line)
         return self.write(name, "\n".join(out) + "\n")
+
+    def pair_sides(self, new_setup, new_wall=None):
+        """Ten old runs with a spread, and new runs scaled per pair."""
+        spread = [1.00, 1.04, 0.97, 1.02, 0.99, 1.05, 0.96, 1.01, 1.03, 0.98]
+        olds, news = [], []
+        for i, f in enumerate(spread):
+            olds.append(self.perf_variant("old%d.txt" % i, wall_factor=f,
+                                          setup_factor=f))
+            wall = f if new_wall is None else new_wall[i]
+            news.append(self.perf_variant("new%d.txt" % i, wall_factor=wall,
+                                          setup_factor=new_setup[i]))
+        return olds, news
 
     def gbench_variant(self, name, rate_factor=1.0, num_cpus=4, l3=None):
         with open(GBENCH) as f:
@@ -134,6 +155,51 @@ class BenchCompare(unittest.TestCase):
         self.assertEqual(code, 2, out + err)
         self.assertIn("caches", err)
         self.assertEqual(out, "")
+
+    def test_pairs_gain_needs_nine_in_ten_wins(self):
+        # setup_s a quarter of the old runs in every pair: a gain.
+        olds, news = self.pair_sides([0.25] * 10)
+        code, out, err = run_pairs(olds, news)
+        self.assertEqual(code, 0, out + err)
+        row = [l for l in out.splitlines() if l.startswith("setup_s")][0]
+        self.assertIn("0:10", row)
+        self.assertIn("gain", row)
+        # Two pairs lost: 8 of 10 wins is no gain, however large.
+        olds, news = self.pair_sides([0.25] * 8 + [2.0, 2.0])
+        code, out, _ = run_pairs(olds, news)
+        row = [l for l in out.splitlines() if l.startswith("setup_s")][0]
+        self.assertIn("2:8", row)
+        self.assertNotIn("gain", row)
+
+    def test_pairs_gain_needs_medians_apart_by_the_old_iqr(self):
+        # New wins every pair by 1 %, inside the old runs' 4 % spread.
+        spread = [1.00, 1.04, 0.97, 1.02, 0.99, 1.05, 0.96, 1.01, 1.03, 0.98]
+        olds, news = self.pair_sides([0.99 * f for f in spread])
+        code, out, _ = run_pairs(olds, news)
+        self.assertEqual(code, 0, out)
+        row = [l for l in out.splitlines() if l.startswith("setup_s")][0]
+        self.assertIn("0:10", row)
+        self.assertIn("within bound", row)
+
+    def test_pairs_past_the_bound_is_worse(self):
+        spread = [1.00, 1.04, 0.97, 1.02, 0.99, 1.05, 0.96, 1.01, 1.03, 0.98]
+        olds, news = self.pair_sides(spread, [1.4 * f for f in spread])
+        code, out, _ = run_pairs(olds, news)
+        self.assertEqual(code, 1, out)
+        row = [l for l in out.splitlines() if l.startswith("wall_s")][0]
+        self.assertIn("10:0", row)
+        self.assertIn("worse", row)
+
+    def test_pairs_refuse_mismatches(self):
+        olds, news = self.pair_sides([1.0] * 10)
+        code, out, err = run_pairs(olds, news[:9])
+        self.assertEqual(code, 2, out + err)
+        news[5] = self.perf_variant("8.txt", nproc=8)
+        code, out, err = run_pairs(olds, news)
+        self.assertEqual(code, 2, out + err)
+        self.assertIn("num_cpus", err)
+        code, out, err = run_pairs(olds[:1], [GBENCH])
+        self.assertEqual(code, 2, out + err)
 
     def test_bare_result_line_is_refused(self):
         with open(PERF) as f:

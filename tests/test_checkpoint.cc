@@ -606,6 +606,169 @@ TEST(CheckpointSparse, InvalidatedLineKeepsTagAndLastUse)
     EXPECT_EQ(cacheImage(restored), img);
 }
 
+// ---- window-bounded cache scans -----------------------------------------
+
+/** Zero-filled pages hold default lines: each field of CacheLine{} is
+ *  zero bytes, and zero bytes read back as CacheLine{}. */
+TEST(CacheWindow, DefaultLineIsAllZeroBytes)
+{
+    const arch::CacheLine def{};
+    const unsigned char zeros[sizeof(arch::CacheLine)] = {};
+    EXPECT_EQ(std::memcmp(&def.tag, zeros, sizeof def.tag), 0);
+    EXPECT_EQ(std::memcmp(&def.state, zeros, sizeof def.state), 0);
+    EXPECT_EQ(std::memcmp(&def.lastUse, zeros, sizeof def.lastUse), 0);
+    arch::CacheLine from_zeros;
+    std::memcpy(&from_zeros, zeros, sizeof from_zeros);
+    EXPECT_EQ(from_zeros, def);
+
+    const config::PitonParams params;
+    const arch::CacheArray fresh(params.l2Slice);
+    for (const arch::CacheLine &cl : fresh.lines())
+        ASSERT_EQ(cl, def);
+    EXPECT_EQ(fresh.window(), (std::pair<std::size_t, std::size_t>{0, 0}));
+}
+
+/** The image a scan over every line would write: geometry, then a
+ *  full-range ioSparse over a copy of the lines. */
+std::vector<std::uint8_t>
+fullScanImage(const arch::CacheArray &cache)
+{
+    std::vector<arch::CacheLine> lines(cache.lines().begin(),
+                                       cache.lines().end());
+    auto ar = ckpt::Archive::forSave();
+    ar.beginSection("cache");
+    ar.ioExpect(cache.numSets(), "cache sets");
+    ar.ioExpect(cache.ways(), "cache ways");
+    ar.ioExpect(cache.lineBytes(), "cache line bytes");
+    ar.ioSparse<std::uint32_t>(
+        lines.data(), lines.size(), 8 + 8 + 8,
+        [&](arch::CacheLine &cl) {
+            ar.io(cl.tag);
+            ar.ioEnum(cl.state, static_cast<arch::Mesi>(4));
+            ar.io(cl.lastUse);
+        },
+        "cache line");
+    ar.endSection();
+    return ar.finish();
+}
+
+void
+restoreCache(arch::CacheArray &cache, const std::vector<std::uint8_t> &img)
+{
+    auto ar = ckpt::Archive::forLoad(img);
+    ar.beginSection("cache");
+    cache.serialize(ar);
+    ar.endSection();
+}
+
+/** Every line outside the window is CacheLine{}, and the window-bounded
+ *  image equals the full scan's. */
+void
+expectWindowHolds(arch::CacheArray &cache, const std::string &where)
+{
+    const auto [lo, hi] = cache.window();
+    ASSERT_LE(lo, hi) << where;
+    ASSERT_LE(hi, cache.lines().size()) << where;
+    for (std::size_t i = 0; i < cache.lines().size(); ++i) {
+        if (i < lo || i >= hi) {
+            ASSERT_EQ(cache.lines()[i], arch::CacheLine{})
+                << where << ": line " << i << " outside [" << lo << ", "
+                << hi << ")";
+        }
+    }
+    EXPECT_EQ(cacheImage(cache), fullScanImage(cache)) << where;
+}
+
+/** Seeded random fill / access / setState / invalidate / flushAll /
+ *  save-restore sequences on a small and a default geometry keep the
+ *  window invariant after every step, and a restore into a used array
+ *  and into a fresh one give byte-identical images. */
+TEST(CacheWindow, RandomSequencesKeepTheWindow)
+{
+    const config::PitonParams params;
+    for (const config::CacheParams &geom :
+         {config::CacheParams{1024, 2, 16}, params.l1d}) {
+        std::mt19937_64 rng(0x5EED'0A77 + geom.sizeBytes);
+        arch::CacheArray a(geom), used(geom);
+        // Addresses span a few times the array, so sets fill and evict.
+        const Addr span = 4 * static_cast<Addr>(geom.sizeBytes);
+        auto addr = [&] { return rng() % span; };
+        auto state = [&] {
+            return static_cast<arch::Mesi>(1 + rng() % 3); // S, E or M
+        };
+        Cycle now = 1;
+        for (int step = 0; step < 3000; ++step, ++now) {
+            const std::string where =
+                "geometry " + std::to_string(geom.sizeBytes) + " step "
+                + std::to_string(step);
+            switch (rng() % 16) {
+              case 0: case 1: case 2: case 3: case 4:
+                a.fill(addr(), state(), now);
+                break;
+              case 5: case 6: case 7:
+                a.access(addr(), now);
+                break;
+              case 8: case 9:
+                a.setState(addr(), state());
+                break;
+              case 10: case 11: case 12:
+                a.invalidate(addr());
+                break;
+              case 13:
+                if (rng() % 8 == 0)
+                    a.flushAll();
+                break;
+              default: {
+                const auto img = cacheImage(a);
+                arch::CacheArray fresh(geom);
+                restoreCache(fresh, img);
+                restoreCache(used, img);
+                ASSERT_EQ(cacheImage(fresh), img) << where;
+                ASSERT_EQ(cacheImage(used), img) << where;
+                expectWindowHolds(fresh, where + " (fresh)");
+                expectWindowHolds(used, where + " (used)");
+                // Go on with the restored array; the old one becomes
+                // the next restore target.
+                std::swap(a, used);
+                break;
+              }
+            }
+            expectWindowHolds(a, where);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+}
+
+/** A load that throws part-way may have written lines anywhere; the
+ *  next good restore must still reset them. */
+TEST(CacheWindow, RejectedLoadLeavesArrayRestorable)
+{
+    const config::PitonParams params;
+    arch::CacheArray src(params.l1d);
+    src.fill(0x1230, arch::Mesi::Shared, 3);
+    const auto good = cacheImage(src);
+
+    arch::CacheArray other(params.l1d);
+    other.fill(0x4560, arch::Mesi::Modified, 5);
+    other.fill(0x7890, arch::Mesi::Modified, 6);
+    auto bad = cacheImage(other);
+    // Second entry's index past the array: the first is written, then
+    // the load throws.
+    const SectionSpan span = findSection(bad, "cache");
+    const std::size_t count_at = span.payloadAt + 12;
+    ASSERT_EQ(getLe(bad, count_at, 8), 2u);
+    putLe(bad, count_at + 8 + kCacheEntryBytes, 4, 0xFFFF'FFFFu);
+    fixCrc(bad, span);
+
+    arch::CacheArray target(params.l1d);
+    EXPECT_THROW(restoreCache(target, bad), ckpt::CheckpointError);
+    expectWindowHolds(target, "after the rejected load");
+    restoreCache(target, good);
+    EXPECT_EQ(cacheImage(target), good);
+    expectWindowHolds(target, "after the good restore");
+}
+
 /** The same at system level: a coherence invalidation leaves tile 0's
  *  L1D copy invalid with its tag and LRU stamp, and the restored
  *  system re-saves to the original bytes. */

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Compare two benchmark results and flag ratios outside a noise band.
+"""Compare benchmark results and flag changes outside a noise band.
 
     tools/bench_compare.py OLD NEW
+    tools/bench_compare.py --old F1 F2 ... --new G1 G2 ...
 
 OLD and NEW are either
 
@@ -25,6 +26,16 @@ different kinds, and it refuses a perfbench result line saved without
 its header (nothing to check the host against).  Exit status: 0 when
 no ratio is outside its band or all such ratios are ``better``, 1 when
 any is ``worse`` or ``changed``.
+
+Pair mode (``--old``/``--new``) takes N perfbench outputs per side,
+paired in the order given (run them alternating: old, new, old, ...).
+For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
+quartiles and median, how many pairs each side won (ties count for
+neither), and a verdict: ``gain`` when the new side won at least nine
+tenths of the pairs and its median is better by more than the old
+side's interquartile range, ``worse`` when the new median is past the
+metric's bound, else ``within bound``.  It refuses the same mismatches
+as above, across all 2N files; exit 1 when any verdict is ``worse``.
 Standard library only.
 """
 
@@ -45,14 +56,19 @@ class Refusal(Exception):
     """The two inputs cannot be compared meaningfully."""
 
 
-def perfbench_specs():
-    """Metric name -> (direction, band) from the repo's BENCHMARK.json."""
+def benchmark_spec():
+    """The repo's BENCHMARK.json, or {} when it cannot be read."""
     path = os.path.join(ROOT, "BENCHMARK.json")
     try:
         with open(path) as f:
-            spec = json.load(f)
+            return json.load(f)
     except (OSError, ValueError):
         return {}
+
+
+def perfbench_specs():
+    """Metric name -> (direction, band) from the repo's BENCHMARK.json."""
+    spec = benchmark_spec()
     out = {}
     for key in ("end_to_end", "per_layer"):
         for m in spec.get(key, []):
@@ -163,10 +179,10 @@ def classify(old, new, better, band):
     return "changed"
 
 
-def compare(old_path, new_path):
-    """Print the comparison table; return the exit status."""
-    kind_a, ctx_a, old = load(old_path)
-    kind_b, ctx_b, new = load(new_path)
+def check_comparable(a, b):
+    """Refuse unless two loaded results (kind, context, metrics) match."""
+    kind_a, ctx_a, _ = a
+    kind_b, ctx_b, _ = b
     if kind_a != kind_b:
         raise Refusal("cannot compare a %s result with a %s result"
                       % (kind_a, kind_b))
@@ -174,6 +190,14 @@ def compare(old_path, new_path):
         if ctx_a.get(key) != ctx_b.get(key):
             raise Refusal("%s differs: %r vs %r"
                           % (key, ctx_a.get(key), ctx_b.get(key)))
+
+
+def compare(old_path, new_path):
+    """Print the comparison table; return the exit status."""
+    a = load(old_path)
+    b = load(new_path)
+    check_comparable(a, b)
+    old, new = a[2], b[2]
 
     names = [n for n in old if n in new]
     width = max([len(n) for n in names] + [6])
@@ -196,12 +220,101 @@ def compare(old_path, new_path):
     return status
 
 
+def quartiles(values):
+    """(q1, median, q3), interpolating linearly between order statistics."""
+    xs = sorted(values)
+
+    def at(p):
+        pos = p * (len(xs) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def pair_verdict(olds, news, better, band):
+    """(wins_old, wins_new, verdict) for one metric over paired runs."""
+    wins_old = wins_new = 0
+    for a, b in zip(olds, news):
+        flag = classify(a, b, better, 0.0)
+        if flag == "better":
+            wins_new += 1
+        elif flag == "worse":
+            wins_old += 1
+    q1_old, med_old, q3_old = quartiles(olds)
+    med_new = quartiles(news)[1]
+    if classify(med_old, med_new, better, band) == "worse":
+        verdict = "worse"
+    elif (10 * wins_new >= 9 * len(olds)
+          and classify(med_old, med_new, better, 0.0) == "better"
+          and abs(med_new - med_old) > q3_old - q1_old):
+        verdict = "gain"
+    else:
+        verdict = "within bound"
+    return wins_old, wins_new, verdict
+
+
+def compare_pairs(old_paths, new_paths):
+    """Print the pair-mode table; return the exit status."""
+    if len(old_paths) != len(new_paths):
+        raise Refusal("%d old but %d new results: pair mode needs one new "
+                      "run per old run" % (len(old_paths), len(new_paths)))
+    olds = [load(p) for p in old_paths]
+    news = [load(p) for p in new_paths]
+    for r in olds + news:
+        if r[0] != "perfbench":
+            raise Refusal("pair mode compares perfbench outputs, not %s "
+                          "results" % r[0])
+        check_comparable(olds[0], r)
+    names = [m["name"] for m in benchmark_spec().get("end_to_end", [])
+             if all(m["name"] in r[2] for r in olds + news)]
+    if not names:
+        raise Refusal("no end-to-end metric of BENCHMARK.json is in every "
+                      "file (pair mode reads untraced runs)")
+
+    def fmt(q):
+        return "%.4g / %.4g / %.4g" % q
+
+    print("%d pairs (old, new in run order); each side q1 / median / q3"
+          % len(olds))
+    width = max(len(n) for n in names + ["metric"])
+    print("%-*s %-33s %-33s %9s %6s  %s"
+          % (width, "metric", "old", "new", "wins o:n", "bound", "verdict"))
+    status = 0
+    for name in names:
+        _, unit, better, band = olds[0][2][name]
+        a = [r[2][name][0] for r in olds]
+        b = [r[2][name][0] for r in news]
+        wins_old, wins_new, verdict = pair_verdict(a, b, better, band)
+        if verdict == "worse":
+            status = 1
+        print("%-*s %-33s %-33s %4d:%-4d %6.2f  %s%s"
+              % (width, name, fmt(quartiles(a)), fmt(quartiles(b)),
+                 wins_old, wins_new, band, verdict,
+                 "" if not unit else "  [%s]" % unit))
+    return status
+
+
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("old")
-    ap.add_argument("new")
+    ap.add_argument("old", nargs="?")
+    ap.add_argument("new", nargs="?")
+    ap.add_argument("--old", dest="old_runs", nargs="+", metavar="F",
+                    help="pair mode: the old side's perfbench outputs")
+    ap.add_argument("--new", dest="new_runs", nargs="+", metavar="G",
+                    help="pair mode: the new side's, in the same run order")
     args = ap.parse_args(argv)
+    pair_mode = args.old_runs is not None or args.new_runs is not None
+    if pair_mode == (args.old is not None or args.new is not None):
+        ap.error("give OLD NEW, or --old F... --new G...")
+    if not pair_mode and args.new is None:
+        ap.error("give OLD NEW")
+    if pair_mode and (args.old_runs is None or args.new_runs is None):
+        ap.error("pair mode needs both --old and --new")
     try:
+        if pair_mode:
+            return compare_pairs(args.old_runs, args.new_runs)
         return compare(args.old, args.new)
     except Refusal as e:
         print("bench_compare: refusing to compare: %s" % e, file=sys.stderr)
