@@ -8,16 +8,17 @@
  * Phases:
  *
  *  1. comparison — each engine (random, sa, ga) searches the same
- *     task at the same budget through one shared in-process oracle;
- *     the report shows best EPI, oracle traffic, and cache-hit ratio
- *     (cross-engine revisits make the shared memo pay off);
+ *     task at the same budget through one shared oracle over an
+ *     in-process scheduler (LocalClient); the report shows best EPI,
+ *     oracle traffic, cache-hit ratio (cross-engine revisits make the
+ *     shared result cache pay off) and the cache's coalesced count;
  *  2. --verify   — hard gates (exit 1 on any failure):
  *       - replay: every engine rerun at the same seed produces a
  *         bit-identical best candidate and trajectory,
- *       - backend: SA through a LocalClient service scheduler equals
- *         SA through the in-process executor, point for point,
- *       - thread-invariance: an oracle at --threads N equals the
- *         single-threaded oracle,
+ *       - backend: SA through a LocalClient equals SA through a
+ *         loopback TcpClient to an ExperimentServer, point for point,
+ *       - thread-invariance: a scheduler with 4 workers equals a
+ *         single-threaded one,
  *       - cache: revisited candidates hit a cache (ratio > 0 across
  *         the comparison phase),
  *       - coverage: total oracle calls stay far below the exhaustive
@@ -29,7 +30,7 @@
  *   --budget N     explore evaluations per engine (default 24)
  *   --cores N      worker threads to place (default 3)
  *   --seed N       search seed (default 1)
- *   --threads N    oracle batch threads (results thread-invariant)
+ *   --threads N    scheduler worker threads (results thread-invariant)
  *   --sampled      explore through sampled runs (slices join the
  *                  cache identity; the final re-eval stays exact)
  *   --verify       run the determinism gauntlet
@@ -48,6 +49,7 @@
 #include "search/searcher.hh"
 #include "service/client.hh"
 #include "service/scheduler.hh"
+#include "service/server.hh"
 #include "telemetry/export.hh"
 #include "telemetry/recorder.hh"
 #include "workloads/microbenchmarks.hh"
@@ -56,6 +58,27 @@ namespace
 {
 
 using namespace piton;
+
+service::SchedulerConfig
+schedulerConfig(unsigned threads)
+{
+    service::SchedulerConfig cfg;
+    cfg.threads = threads;
+    return cfg;
+}
+
+/** A ClientOracle over its own in-process scheduler. */
+struct LocalOracle
+{
+    explicit LocalOracle(unsigned threads)
+        : sched(schedulerConfig(threads)), client(sched), oracle(client)
+    {
+    }
+
+    service::ExperimentScheduler sched;
+    service::LocalClient client;
+    search::ClientOracle oracle;
+};
 
 search::SearchTask
 makeTask(std::uint32_t cores, bool sampled)
@@ -135,26 +158,33 @@ main(int argc, char **argv)
     telemetry::TelemetryRecorder recorder;
 
     // Phase 1: all engines share one oracle, so any candidate an
-    // earlier engine explored is a memo hit for a later one.
+    // earlier engine explored is a result-cache hit for a later one.
     std::printf("task: %u cores over %zu rungs, %s explore fidelity,"
                 " budget %u/engine (exhaustive space %.3g)\n\n",
                 cores, task.space.rungs.size(),
                 sampled ? "sampled" : "exact", budget,
                 search::exhaustiveSize(task.space));
-    search::InProcessOracle shared(args.threads);
+    LocalOracle local(args.threads);
     std::vector<search::SearchResult> results;
     for (const std::string &engine : search::searcherNames()) {
         search::SearcherOptions engine_opts = opts;
         if (engine == "sa" && !args.outDir.empty())
             engine_opts.recorder = &recorder;
         results.push_back(search::makeSearcher(engine)->search(
-            task, shared, engine_opts));
+            task, local.oracle, engine_opts));
         const search::SearchResult &r = results.back();
         std::printf("%-7s best EPI %.6e J/inst (final %.6e), %" PRIu64
                     " calls, hit ratio %.3f\n",
                     r.engine.c_str(), r.bestScore, r.finalScore,
                     r.oracleCalls, r.cacheHitRatio);
     }
+    // Coalesced = a request that joined an identical in-flight one.
+    // Each searcher's seen-set keeps a batch's candidates distinct and
+    // revisits across batches are plain hits, so this normally reads 0.
+    const service::CacheStats cache = local.client.stats().resultCache;
+    std::printf("service: %" PRIu64 " result-cache hits, %" PRIu64
+                " coalesced\n",
+                cache.hits, cache.coalesced);
     const search::SearchResult &random_r = results[0];
     const search::SearchResult &sa_r = results[1];
     const search::SearchResult &ga_r = results[2];
@@ -173,47 +203,50 @@ main(int argc, char **argv)
 
     // Replay: same seed, fresh oracle → bit-identical search.
     for (const std::string &engine : search::searcherNames()) {
-        search::InProcessOracle a(args.threads), b(args.threads);
+        LocalOracle a(args.threads), b(args.threads);
         const search::SearchResult ra =
-            search::makeSearcher(engine)->search(task, a, opts);
+            search::makeSearcher(engine)->search(task, a.oracle, opts);
         const search::SearchResult rb =
-            search::makeSearcher(engine)->search(task, b, opts);
+            search::makeSearcher(engine)->search(task, b.oracle, opts);
         checkIdentical(("replay " + engine).c_str(), ra, rb, failures);
     }
 
-    // Backend identity: the service scheduler path (canonicalize →
-    // cache → executor → encoded body) must drive the search to the
-    // same candidates as the executor-direct path.
+    // Backend identity: the wire transport (request and response
+    // framing over loopback TCP) must drive the search to the same
+    // candidates as the in-process client.
     {
-        search::InProcessOracle direct(args.threads);
-        const search::SearchResult rd =
-            search::makeSearcher("sa")->search(task, direct, opts);
-        service::SchedulerConfig cfg;
-        cfg.threads = 1;
-        service::ExperimentScheduler sched(cfg);
-        service::LocalClient local(sched);
-        search::ClientOracle service_oracle(local);
-        const search::SearchResult rs =
-            search::makeSearcher("sa")->search(task, service_oracle, opts);
-        checkIdentical("backend in-process vs service", rd, rs, failures);
+        LocalOracle in_process(args.threads);
+        const search::SearchResult rl =
+            search::makeSearcher("sa")->search(task, in_process.oracle,
+                                               opts);
+        service::ServerConfig scfg;
+        scfg.scheduler = schedulerConfig(args.threads);
+        service::ExperimentServer server(scfg);
+        server.start();
+        service::TcpClient tcp(server.port());
+        search::ClientOracle over_tcp(tcp);
+        const search::SearchResult rt =
+            search::makeSearcher("sa")->search(task, over_tcp, opts);
+        checkIdentical("backend LocalClient vs TcpClient", rl, rt,
+                       failures);
     }
 
-    // Thread-invariance: the oracle's batch parallelism must not leak
+    // Thread-invariance: the scheduler's parallelism must not leak
     // into results (DESIGN.md §7 extended to the search layer).
     {
-        search::InProcessOracle one(1), many(4);
+        LocalOracle one(1), many(4);
         const search::SearchResult r1 =
-            search::makeSearcher("ga")->search(task, one, opts);
+            search::makeSearcher("ga")->search(task, one.oracle, opts);
         const search::SearchResult r4 =
-            search::makeSearcher("ga")->search(task, many, opts);
-        checkIdentical("oracle threads 1 vs 4", r1, r4, failures);
+            search::makeSearcher("ga")->search(task, many.oracle, opts);
+        checkIdentical("scheduler threads 1 vs 4", r1, r4, failures);
     }
 
     // Cache effectiveness: the comparison phase revisited candidates.
     const double shared_ratio =
-        shared.stats().calls > 0
-            ? static_cast<double>(shared.stats().cacheHits)
-                  / static_cast<double>(shared.stats().calls)
+        local.oracle.stats().calls > 0
+            ? static_cast<double>(local.oracle.stats().cacheHits)
+                  / static_cast<double>(local.oracle.stats().calls)
             : 0.0;
     if (shared_ratio > 0.0) {
         std::printf("verify: %-34s OK (ratio %.3f)\n",
@@ -227,7 +260,7 @@ main(int argc, char **argv)
     // Coverage: the search sampled a vanishing fraction of the space.
     const double space_size = search::exhaustiveSize(task.space);
     const auto total_calls =
-        static_cast<double>(shared.stats().calls);
+        static_cast<double>(local.oracle.stats().calls);
     if (total_calls < space_size) {
         std::printf("verify: %-34s OK (%.0f of %.3g)\n",
                     "oracle calls < exhaustive space", total_calls,

@@ -259,7 +259,7 @@ smallServiceRequest(std::uint64_t seed)
 
 /**
  * Service fast path: an exact result-cache hit.  Measures the full
- * serve path (canonicalize, hash, shard lookup, CRC verify) minus the
+ * serve path (canonicalize, hash, LRU lookup, CRC verify) minus the
  * simulation itself — the latency a repeated experiment pays.
  */
 void

@@ -347,10 +347,11 @@ Core::runAhead(Cycle c, Cycle lim)
 void
 Core::issue(ThreadState &t, ThreadId tid, Cycle now)
 {
-    piton_assert(t.pc < t.program->size(),
-                 "pc %u fell off the end of the program (size %u); "
-                 "programs must loop or halt",
-                 t.pc, t.program->size());
+    if (t.pc >= t.program->size()) [[unlikely]]
+        throw ProgramFault(csprintf(
+            "pc %u fell off the end of the program (size %u); "
+            "programs must loop or halt",
+            t.pc, t.program->size()));
 
     // Predecoded record: energy class, issue latency, PC, operand
     // fields, and dispatch group resolved once at Program construction.

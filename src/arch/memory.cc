@@ -24,8 +24,9 @@ MainMemory::pageForRead(Addr addr) const
 RegVal
 MainMemory::read64(Addr addr) const
 {
-    piton_assert((addr & 7) == 0, "unaligned 64-bit read at 0x%llx",
-                 static_cast<unsigned long long>(addr));
+    if ((addr & 7) != 0)
+        throw ProgramFault(csprintf("unaligned 64-bit read at 0x%llx",
+                                    static_cast<unsigned long long>(addr)));
     const Page *page = pageForRead(addr);
     return page ? (*page)[wordIndex(addr)] : 0;
 }
@@ -33,8 +34,9 @@ MainMemory::read64(Addr addr) const
 void
 MainMemory::write64(Addr addr, RegVal value)
 {
-    piton_assert((addr & 7) == 0, "unaligned 64-bit write at 0x%llx",
-                 static_cast<unsigned long long>(addr));
+    if ((addr & 7) != 0)
+        throw ProgramFault(csprintf("unaligned 64-bit write at 0x%llx",
+                                    static_cast<unsigned long long>(addr)));
     pageFor(addr)[wordIndex(addr)] = value;
 }
 
@@ -42,8 +44,9 @@ void
 MainMemory::readBlock(Addr addr, std::size_t bytes,
                       std::vector<RegVal> &out) const
 {
-    piton_assert((addr & 7) == 0 && (bytes & 7) == 0,
-                 "unaligned block read");
+    if ((addr & 7) != 0 || (bytes & 7) != 0)
+        throw ProgramFault(csprintf("unaligned block read at 0x%llx",
+                                    static_cast<unsigned long long>(addr)));
     out.clear();
     out.reserve(bytes / 8);
     for (std::size_t off = 0; off < bytes; off += 8)

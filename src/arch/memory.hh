@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -22,6 +24,18 @@
 
 namespace piton::arch
 {
+
+/** A simulated program did something the machine cannot execute (an
+ *  unaligned 64-bit access, a PC past the program's end).  Distinct
+ *  from a simulator panic (std::logic_error): the program's bytes are
+ *  at fault, which a restored checkpoint image can bring about. */
+class ProgramFault : public std::runtime_error
+{
+  public:
+    explicit ProgramFault(const std::string &what)
+        : std::runtime_error(what)
+    {}
+};
 
 class MainMemory
 {

@@ -1,8 +1,9 @@
 #include "core/power_cap.hh"
 
 #include "common/logging.hh"
-#include "common/rng.hh"
+#include "telemetry/recorder.hh"
 #include "telemetry/schema.hh"
+#include "workloads/microbenchmarks.hh"
 
 namespace piton::core
 {
@@ -57,57 +58,6 @@ PowerCapExperiment::maxCoresUnderCap(double cap_w)
     }
     res.headroomW = cap_w - res.powerAtMaxW;
     return res;
-}
-
-GovernorTrace
-PowerCapExperiment::reactiveGovernor(double cap_w, double interval_s,
-                                     double duration_s)
-{
-    GovernorTrace trace;
-    trace.capW = cap_w;
-    Rng noise(0xCA9);
-
-    namespace ts = telemetry::schema;
-    const std::size_t id_cores = telem_.defineSeries(
-        ts::kGovernorCores, telemetry::Unit::Count,
-        telemetry::Downsample::Mean);
-    const std::size_t id_power = telem_.defineSeries(
-        ts::kGovernorMeasuredW, telemetry::Unit::Watts,
-        telemetry::Downsample::Mean);
-
-    std::uint32_t cores = 25; // full demand at t = 0
-    double above_time = 0.0;
-    for (double t = 0.0; t < duration_s; t += interval_s) {
-        // "Measure" the chip: steady-state power for the current
-        // configuration plus monitor-grade noise.
-        const double measured =
-            hpPowerW(cores) + noise.gaussian(0.0, 0.002);
-
-        GovernorPoint pt;
-        pt.timeS = t;
-        pt.activeCores = cores;
-        pt.measuredPowerW = measured;
-        trace.points.push_back(pt);
-        telem_.record(id_cores, t, interval_s,
-                      static_cast<double>(cores));
-        telem_.record(id_power, t, interval_s, measured);
-
-        if (measured > cap_w)
-            above_time += interval_s;
-
-        // Control law (no oracle — what a real governor can do):
-        // throttle when over the cap; release a core only when at
-        // least a core's worth of measured headroom exists.
-        constexpr double kPerCoreHeadroomW = 0.095;
-        if (measured > cap_w && cores > 0) {
-            --cores;
-        } else if (cores < 25 && measured < cap_w - kPerCoreHeadroomW) {
-            ++cores;
-        }
-    }
-    trace.violationFraction = above_time / duration_s;
-    trace.settledCores = cores;
-    return trace;
 }
 
 } // namespace piton::core

@@ -4,24 +4,19 @@
  * power is a first-class citizen in data centers [14][15], and
  * Section IV-J discusses TDP/power-capping scheduling [52][53]).
  *
- * Two experiments built on the characterization:
- *  - static capping: the largest HP thread count whose steady-state
- *    power fits a cap (the Fig. 13 curves, inverted);
- *  - a reactive governor: a control loop that watches the measured
- *    chip power and throttles/releases active cores to track a cap,
- *    producing the kind of trace a power-capping controller study
- *    would evaluate.
+ * Static capping: the largest HP thread count whose steady-state
+ * power fits a cap (the Fig. 13 curves, inverted) — the core-count
+ * answer to a cap.  The closed-loop answer, a controller that tracks a
+ * cap on a running chip, is the pidcap governor (governor/, DESIGN.md
+ * §13).
  */
 
 #ifndef PITON_CORE_POWER_CAP_HH
 #define PITON_CORE_POWER_CAP_HH
 
 #include <map>
-#include <vector>
 
 #include "sim/system.hh"
-#include "telemetry/recorder.hh"
-#include "workloads/microbenchmarks.hh"
 
 namespace piton::core
 {
@@ -32,21 +27,6 @@ struct StaticCapResult
     std::uint32_t maxCores = 0;     ///< at 2 T/C (HP workload)
     double powerAtMaxW = 0.0;
     double headroomW = 0.0;         ///< cap - power
-};
-
-struct GovernorPoint
-{
-    double timeS = 0.0;
-    std::uint32_t activeCores = 0;
-    double measuredPowerW = 0.0;
-};
-
-struct GovernorTrace
-{
-    double capW = 0.0;
-    std::vector<GovernorPoint> points;
-    double violationFraction = 0.0; ///< time above cap
-    std::uint32_t settledCores = 0; ///< active cores at the end
 };
 
 class PowerCapExperiment
@@ -66,29 +46,10 @@ class PowerCapExperiment
     /** Largest HP configuration that fits under the cap. */
     StaticCapResult maxCoresUnderCap(double cap_w);
 
-    /**
-     * Reactive governor: starting from full demand (25 cores), each
-     * control interval measures power and throttles one core when
-     * above the cap / releases one when a core of headroom exists.
-     */
-    GovernorTrace reactiveGovernor(double cap_w,
-                                   double interval_s = 0.5,
-                                   double duration_s = 20.0);
-
-    /** The experiment's telemetry store: reactiveGovernor records its
-     *  control trace here (governor.active_cores / governor.measured_w,
-     *  one point per control interval), ready for exportTelemetry(). */
-    const telemetry::TelemetryRecorder &telemetry() const
-    {
-        return telem_;
-    }
-    telemetry::TelemetryRecorder &telemetry() { return telem_; }
-
   private:
     sim::SystemOptions opts_;
     std::uint32_t samples_;
     std::map<std::uint32_t, double> powerCache_;
-    telemetry::TelemetryRecorder telem_;
 };
 
 } // namespace piton::core

@@ -1,35 +1,25 @@
 /**
  * @file
- * Evaluation oracles: how a searcher obtains the objective inputs for
+ * Evaluation oracle: how a searcher obtains the objective inputs for
  * a batch of candidates (DESIGN.md §16).
  *
- * Two backends sit behind one interface:
- *
- *  - InProcessOracle: runs each request through the service executor
- *    directly (no scheduler, no sockets), with its own content-
- *    addressed memo so revisited candidates cost a hash lookup.
- *    Batches evaluate in parallel; results are deterministic at any
- *    thread count because each request's result is bit-determined by
- *    its canonical bytes alone.
- *
- *  - ClientOracle: evaluates through any service::Client — a
- *    LocalClient over a scheduler, a TcpClient against piton-served
- *    (batches pipeline on the one connection), or any other transport.
- *    Cache hits are the server's (servedFromCache).
- *
- * The byte-identity contract of the service layer means every backend
- * returns the same Evaluation values for the same request — the
- * bench's --verify mode gates exactly that.
+ * ClientOracle evaluates through any service::Client — a LocalClient
+ * over an in-process ExperimentScheduler, or a TcpClient against
+ * piton-served.  Each batch is pipelined: every request is submitted
+ * before the first is waited on, so the scheduler's worker pool runs
+ * the batch in parallel, its result cache answers revisits, and its
+ * single-flight coalesces duplicates within a batch.  Each result is
+ * bit-determined by its request's canonical bytes, so evaluations are
+ * the same at every scheduler thread count and over either transport
+ * — the bench's --verify mode gates exactly that.
  */
 
 #ifndef PITON_SEARCH_ORACLE_HH
 #define PITON_SEARCH_ORACLE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "common/hash.hh"
 #include "service/client.hh"
 #include "service/request.hh"
 
@@ -50,7 +40,7 @@ struct Evaluation
     double epi = 0.0;
     /** energyJ / seconds (0 when seconds == 0). */
     double avgPowerW = 0.0;
-    /** Served from a cache (memo or service result cache). */
+    /** Served from the service's result cache. */
     bool cacheHit = false;
 };
 
@@ -71,7 +61,7 @@ class Oracle
     virtual ~Oracle() = default;
 
     /** Evaluate a batch; result i corresponds to reqs[i].  Requests
-     *  need not be canonicalized (the oracle canonicalizes). */
+     *  need not be canonicalized (the service canonicalizes). */
     virtual std::vector<Evaluation>
     evaluate(const std::vector<service::ExperimentRequest> &reqs) = 0;
 
@@ -81,27 +71,10 @@ class Oracle
     OracleStats stats_;
 };
 
-/** Executor-direct oracle with a local result memo. */
-class InProcessOracle : public Oracle
-{
-  public:
-    /** `threads` bounds batch parallelism (resolveThreadCount rules;
-     *  1 = inline).  Results are thread-count-invariant. */
-    explicit InProcessOracle(unsigned threads = 1) : threads_(threads) {}
-
-    std::vector<Evaluation>
-    evaluate(const std::vector<service::ExperimentRequest> &reqs) override;
-
-  private:
-    unsigned threads_;
-    /** cacheKey → encoded Ok response body.  Failures are not
-     *  memoized (mirrors the service cache's Ok-only policy). */
-    std::unordered_map<Hash128, std::vector<std::uint8_t>, Hash128Hasher>
-        memo_;
-};
-
-/** Oracle over any service::Client.  A TcpClient batch pipelines
- *  submit()/waitFor() on the single connection. */
+/** Oracle over any service::Client.  Requests the service sheds at
+ *  admission (Status::Shed) are resubmitted once the rest of their
+ *  batch has completed, so a batch larger than the server's free
+ *  capacity still costs exactly its size in evaluations. */
 class ClientOracle : public Oracle
 {
   public:

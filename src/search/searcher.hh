@@ -20,7 +20,7 @@
  * SearcherOptions::seed, and every objective input is a bit-
  * deterministic service result, so a search replays bit-identically:
  * same seed → same candidate sequence, same best, same trajectory —
- * across runs, oracle backends, and oracle thread counts
+ * across runs, transports, and scheduler thread counts
  * (bench_search --verify gates this).
  *
  * Exploration runs at the task's explore fidelity (fewer workload

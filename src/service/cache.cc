@@ -1,7 +1,5 @@
 #include "service/cache.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
 
 #include "checkpoint/archive.hh"
@@ -25,73 +23,42 @@ payloadCrc(const std::vector<std::uint8_t> &bytes)
 
 } // namespace
 
-// Counters are plain atomics so hits never serialize on a global lock.
-struct CacheCounters
-{
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> coalesced{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> corruptRejected{0};
-    std::atomic<std::uint64_t> diskHits{0};
-};
-
-ResultCache::ResultCache(CacheConfig cfg)
-    : cfg_(std::move(cfg)), counters_(std::make_unique<CacheCounters>())
-{
-    if (cfg_.shards == 0)
-        cfg_.shards = 1;
-    shards_.reserve(cfg_.shards);
-    for (std::size_t i = 0; i < cfg_.shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-}
-
-ResultCache::~ResultCache() = default;
-
-ResultCache::Shard &
-ResultCache::shardFor(const Hash128 &key)
-{
-    return *shards_[static_cast<std::size_t>(key.lo) % shards_.size()];
-}
+ResultCache::ResultCache(CacheConfig cfg) : cfg_(std::move(cfg)) {}
 
 ResultCache::Acquired
 ResultCache::acquire(const Hash128 &key)
 {
-    CacheCounters &ctr = *counters_;
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
+    std::lock_guard<std::mutex> lock(mutex_);
 
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
         if (payloadCrc(*it->second.payload) == it->second.crc) {
-            shard.lru.splice(shard.lru.begin(), shard.lru,
-                             it->second.lruPos);
-            ctr.hits.fetch_add(1, std::memory_order_relaxed);
+            lru_.splice(lru_.begin(), lru_, it->second.lruPos);
+            ++counts_.hits;
             return Acquired{it->second.payload, {}, false};
         }
         // Bit rot: reject and recompute rather than serve garbage.
-        ctr.corruptRejected.fetch_add(1, std::memory_order_relaxed);
-        shard.lru.erase(it->second.lruPos);
-        shard.entries.erase(it);
+        ++counts_.corruptRejected;
+        lru_.erase(it->second.lruPos);
+        entries_.erase(it);
     }
 
     if (CachePayload disk = tryDiskLoad(key)) {
-        insertLocked(shard, key, disk);
-        ctr.hits.fetch_add(1, std::memory_order_relaxed);
-        ctr.diskHits.fetch_add(1, std::memory_order_relaxed);
+        insertLocked(key, disk);
+        ++counts_.hits;
+        ++counts_.diskHits;
         return Acquired{std::move(disk), {}, false};
     }
 
-    auto flight = shard.inflight.find(key);
-    if (flight != shard.inflight.end()) {
-        ctr.coalesced.fetch_add(1, std::memory_order_relaxed);
+    auto flight = inflight_.find(key);
+    if (flight != inflight_.end()) {
+        ++counts_.coalesced;
         return Acquired{nullptr, flight->second->get_future().share(),
                         false};
     }
 
-    shard.inflight.emplace(key,
-                           std::make_shared<std::promise<CachePayload>>());
-    ctr.misses.fetch_add(1, std::memory_order_relaxed);
+    inflight_.emplace(key, std::make_shared<std::promise<CachePayload>>());
+    ++counts_.misses;
     Acquired a;
     a.leader = true;
     return a;
@@ -100,23 +67,21 @@ ResultCache::acquire(const Hash128 &key)
 CachePayload
 ResultCache::lookup(const Hash128 &key)
 {
-    CacheCounters &ctr = *counters_;
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-        ctr.misses.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+        ++counts_.misses;
         return nullptr;
     }
     if (payloadCrc(*it->second.payload) != it->second.crc) {
-        ctr.corruptRejected.fetch_add(1, std::memory_order_relaxed);
-        shard.lru.erase(it->second.lruPos);
-        shard.entries.erase(it);
-        ctr.misses.fetch_add(1, std::memory_order_relaxed);
+        ++counts_.corruptRejected;
+        lru_.erase(it->second.lruPos);
+        entries_.erase(it);
+        ++counts_.misses;
         return nullptr;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lruPos);
-    ctr.hits.fetch_add(1, std::memory_order_relaxed);
+    lru_.splice(lru_.begin(), lru_, it->second.lruPos);
+    ++counts_.hits;
     return it->second.payload;
 }
 
@@ -126,13 +91,12 @@ ResultCache::publish(const Hash128 &key, CachePayload payload)
     piton_assert(payload != nullptr, "publish of null payload");
     std::shared_ptr<std::promise<CachePayload>> promise;
     {
-        Shard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        insertLocked(shard, key, payload);
-        auto flight = shard.inflight.find(key);
-        if (flight != shard.inflight.end()) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        insertLocked(key, payload);
+        auto flight = inflight_.find(key);
+        if (flight != inflight_.end()) {
             promise = flight->second;
-            shard.inflight.erase(flight);
+            inflight_.erase(flight);
         }
     }
     if (promise)
@@ -145,12 +109,11 @@ ResultCache::abandon(const Hash128 &key)
 {
     std::shared_ptr<std::promise<CachePayload>> promise;
     {
-        Shard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto flight = shard.inflight.find(key);
-        if (flight != shard.inflight.end()) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto flight = inflight_.find(key);
+        if (flight != inflight_.end()) {
             promise = flight->second;
-            shard.inflight.erase(flight);
+            inflight_.erase(flight);
         }
     }
     if (promise)
@@ -162,101 +125,76 @@ ResultCache::insert(const Hash128 &key, CachePayload payload)
 {
     piton_assert(payload != nullptr, "insert of null payload");
     {
-        Shard &shard = shardFor(key);
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        insertLocked(shard, key, payload);
+        std::lock_guard<std::mutex> lock(mutex_);
+        insertLocked(key, payload);
     }
     diskStore(key, payload);
 }
 
 void
-ResultCache::insertLocked(Shard &shard, const Hash128 &key,
-                          CachePayload payload)
+ResultCache::insertLocked(const Hash128 &key, CachePayload payload)
 {
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-        shard.bytes -= it->second.payload->size();
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+        bytes_ -= it->second.payload->size();
         it->second.payload = std::move(payload);
         it->second.crc = payloadCrc(*it->second.payload);
-        shard.bytes += it->second.payload->size();
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lruPos);
+        bytes_ += it->second.payload->size();
+        lru_.splice(lru_.begin(), lru_, it->second.lruPos);
         return;
     }
-    shard.lru.push_front(key);
+    lru_.push_front(key);
     Entry entry;
     entry.payload = std::move(payload);
     entry.crc = payloadCrc(*entry.payload);
-    entry.lruPos = shard.lru.begin();
-    shard.bytes += entry.payload->size();
-    shard.entries.emplace(key, std::move(entry));
-    evictIfNeededLocked(shard);
+    entry.lruPos = lru_.begin();
+    bytes_ += entry.payload->size();
+    entries_.emplace(key, std::move(entry));
+    evictIfNeededLocked();
 }
 
 void
-ResultCache::evictIfNeededLocked(Shard &shard)
+ResultCache::evictIfNeededLocked()
 {
-    // Budgets are per shard: cross-shard coordination would put every
-    // insert behind one lock for no practical gain at these sizes.
-    const std::size_t byte_budget =
-        cfg_.maxBytes == 0 ? 0
-                           : std::max<std::size_t>(1, cfg_.maxBytes
-                                                          / shards_.size());
-    const std::size_t entry_budget =
-        cfg_.maxEntries == 0
-            ? 0
-            : std::max<std::size_t>(1, cfg_.maxEntries / shards_.size());
-    CacheCounters &ctr = *counters_;
-    while (!shard.lru.empty()
-           && ((byte_budget != 0 && shard.bytes > byte_budget)
-               || (entry_budget != 0
-                   && shard.entries.size() > entry_budget))) {
-        const Hash128 victim = shard.lru.back();
-        auto it = shard.entries.find(victim);
-        piton_assert(it != shard.entries.end(), "LRU/entry map skew");
-        shard.bytes -= it->second.payload->size();
-        shard.lru.pop_back();
-        shard.entries.erase(it);
-        ctr.evictions.fetch_add(1, std::memory_order_relaxed);
+    while (!lru_.empty()
+           && ((cfg_.maxBytes != 0 && bytes_ > cfg_.maxBytes)
+               || (cfg_.maxEntries != 0
+                   && entries_.size() > cfg_.maxEntries))) {
+        const Hash128 victim = lru_.back();
+        auto it = entries_.find(victim);
+        piton_assert(it != entries_.end(), "LRU/entry map skew");
+        bytes_ -= it->second.payload->size();
+        lru_.pop_back();
+        entries_.erase(it);
+        ++counts_.evictions;
     }
 }
 
 void
 ResultCache::clear()
 {
-    for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->entries.clear();
-        shard->lru.clear();
-        shard->bytes = 0;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    entries_.clear();
+    lru_.clear();
+    bytes_ = 0;
 }
 
 CacheStats
 ResultCache::stats() const
 {
-    CacheCounters &ctr = *counters_;
-    CacheStats s;
-    s.hits = ctr.hits.load(std::memory_order_relaxed);
-    s.misses = ctr.misses.load(std::memory_order_relaxed);
-    s.coalesced = ctr.coalesced.load(std::memory_order_relaxed);
-    s.evictions = ctr.evictions.load(std::memory_order_relaxed);
-    s.corruptRejected = ctr.corruptRejected.load(std::memory_order_relaxed);
-    s.diskHits = ctr.diskHits.load(std::memory_order_relaxed);
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        s.entries += shard->entries.size();
-        s.bytes += shard->bytes;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    CacheStats s = counts_;
+    s.entries = entries_.size();
+    s.bytes = bytes_;
     return s;
 }
 
 bool
 ResultCache::corruptEntryForTest(const Hash128 &key)
 {
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end() || it->second.payload->empty())
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(key);
+    if (it == entries_.end() || it->second.payload->empty())
         return false;
     // The payload is shared immutable by contract; this test hook
     // simulates bit rot in place, exactly what the CRC exists to catch.
@@ -304,7 +242,6 @@ ResultCache::tryDiskLoad(const Hash128 &key)
     } catch (const std::exception &) {
         return nullptr; // absent (or unreadable): a plain miss
     }
-    CacheCounters &ctr = *counters_;
     try {
         WireReader r(file);
         if (r.u32() != kDiskMagic)
@@ -317,7 +254,7 @@ ResultCache::tryDiskLoad(const Hash128 &key)
         return std::make_shared<const std::vector<std::uint8_t>>(
             std::move(payload));
     } catch (const ServiceError &e) {
-        ctr.corruptRejected.fetch_add(1, std::memory_order_relaxed);
+        ++counts_.corruptRejected;
         piton_warn("rejecting corrupted cache file %s: %s", path.c_str(),
                    e.what());
         std::remove(path.c_str());

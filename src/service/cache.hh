@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded, content-addressed result cache (DESIGN.md §11).
+ * Content-addressed result cache (DESIGN.md §11).
  *
  * Keys are Hash128 digests of canonical request bytes (request.hh);
  * values are immutable byte payloads (encoded response bodies, or
@@ -17,9 +17,9 @@
  *    leader that fails abandons the flight; waiters then recompute
  *    individually (the error is not cached).
  *
- *  - Bounded memory: per-shard LRU lists, evicting from the
+ *  - Bounded memory: one LRU list under one mutex, evicting from the
  *    least-recently-used end whenever the configured byte or entry
- *    budget is exceeded.
+ *    budget is exceeded, so the budgets are exact totals.
  *
  * Optional disk spill (`diskDir`): published entries are also written
  * to `<dir>/<keyhex>.res` — a content-addressed store that survives
@@ -51,10 +51,9 @@ using CachePayload = std::shared_ptr<const std::vector<std::uint8_t>>;
 
 struct CacheConfig
 {
-    std::size_t shards = 8;
-    /** Total payload-byte budget across shards (0 = unbounded). */
+    /** Payload-byte budget (0 = unbounded). */
     std::size_t maxBytes = 256u * 1024 * 1024;
-    /** Total entry budget across shards (0 = unbounded). */
+    /** Entry budget (0 = unbounded). */
     std::size_t maxEntries = 4096;
     /** Content-addressed spill directory ("" = memory only). */
     std::string diskDir;
@@ -73,14 +72,10 @@ struct CacheStats
     std::size_t bytes = 0;
 };
 
-/** Internal lock-free hit/miss counters (cache.cc). */
-struct CacheCounters;
-
 class ResultCache
 {
   public:
     explicit ResultCache(CacheConfig cfg = {});
-    ~ResultCache();
 
     ResultCache(const ResultCache &) = delete;
     ResultCache &operator=(const ResultCache &) = delete;
@@ -138,32 +133,26 @@ class ResultCache
     {
         CachePayload payload;
         std::uint32_t crc = 0;
-        /** Position in the shard's LRU list (front = most recent). */
+        /** Position in the LRU list (front = most recent). */
         std::list<Hash128>::iterator lruPos;
     };
 
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::unordered_map<Hash128, Entry, Hash128Hasher> entries;
-        std::list<Hash128> lru; ///< front = most recently used
-        std::size_t bytes = 0;  ///< sum of cached payload sizes
-        std::unordered_map<Hash128, std::shared_ptr<std::promise<CachePayload>>,
-                           Hash128Hasher>
-            inflight;
-    };
-
-    Shard &shardFor(const Hash128 &key);
-    /** Insert under the shard lock; returns bytes freed by eviction. */
-    void insertLocked(Shard &shard, const Hash128 &key,
-                      CachePayload payload);
-    void evictIfNeededLocked(Shard &shard);
+    /** Insert under mutex_, evicting down to the budgets. */
+    void insertLocked(const Hash128 &key, CachePayload payload);
+    void evictIfNeededLocked();
     CachePayload tryDiskLoad(const Hash128 &key);
     void diskStore(const Hash128 &key, const CachePayload &payload);
 
     CacheConfig cfg_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::unique_ptr<CacheCounters> counters_;
+    mutable std::mutex mutex_;
+    std::unordered_map<Hash128, Entry, Hash128Hasher> entries_;
+    std::list<Hash128> lru_; ///< front = most recently used
+    std::size_t bytes_ = 0;  ///< sum of cached payload sizes
+    std::unordered_map<Hash128, std::shared_ptr<std::promise<CachePayload>>,
+                       Hash128Hasher>
+        inflight_;
+    /** Counter fields only; entries/bytes are filled by stats(). */
+    CacheStats counts_;
 };
 
 } // namespace piton::service

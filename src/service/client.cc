@@ -27,10 +27,23 @@ resultFromBody(bool served_from_cache, std::vector<std::uint8_t> body)
 
 } // namespace
 
-ClientResult
-LocalClient::run(const ExperimentRequest &req)
+std::uint64_t
+LocalClient::submit(const ExperimentRequest &req)
 {
-    const ServeResult served = sched_.serve(req);
+    ExperimentScheduler::Ticket ticket = sched_.submit(req);
+    tickets_.emplace(ticket.id, std::move(ticket.result));
+    return ticket.id;
+}
+
+ClientResult
+LocalClient::waitFor(std::uint64_t request_id)
+{
+    const auto it = tickets_.find(request_id);
+    if (it == tickets_.end())
+        throw ServiceError("waitFor: unknown request id");
+    const std::shared_future<ServeResult> result = std::move(it->second);
+    tickets_.erase(it);
+    const ServeResult &served = result.get();
     return resultFromBody(served.cacheHit, *served.body);
 }
 
@@ -123,12 +136,6 @@ TcpClient::waitFor(std::uint64_t request_id)
     }
     ResponseEnvelope env = decodeResponseEnvelope(frame.payload);
     return resultFromBody(env.servedFromCache, std::move(env.body));
-}
-
-ClientResult
-TcpClient::run(const ExperimentRequest &req)
-{
-    return waitFor(submit(req));
 }
 
 void

@@ -10,17 +10,21 @@
  *    local result is byte-identical to the same request served over
  *    TCP (tests assert this).
  *
- *  - TcpClient: blocking loopback connection to piton-served.  One
- *    connection can pipeline many requests (submit()/waitFor() with
- *    client-chosen request ids); run() is the submit-and-wait
- *    convenience.  Out-of-order responses are stashed until their id
- *    is waited on.
+ *  - TcpClient: blocking loopback connection to piton-served.
+ *    Out-of-order responses are stashed until their id is waited on.
+ *
+ * Both pipeline: submit() hands a request over without waiting and
+ * returns its id, waitFor() blocks on one id; run() is the
+ * submit-and-wait convenience.  A client is single-threaded — one
+ * caller submits and waits — while the scheduler behind it runs the
+ * submitted requests in parallel.
  */
 
 #ifndef PITON_SERVICE_CLIENT_HH
 #define PITON_SERVICE_CLIENT_HH
 
 #include <cstdint>
+#include <future>
 #include <unordered_map>
 #include <vector>
 
@@ -50,8 +54,18 @@ class Client
 {
   public:
     virtual ~Client() = default;
-    virtual ClientResult run(const ExperimentRequest &req) = 0;
+
+    /** Send a request without waiting; returns its request id. */
+    virtual std::uint64_t submit(const ExperimentRequest &req) = 0;
+    /** Block until the response for `request_id` arrives (each id is
+     *  waited on once). */
+    virtual ClientResult waitFor(std::uint64_t request_id) = 0;
     virtual SchedulerMetrics stats() = 0;
+
+    ClientResult run(const ExperimentRequest &req)
+    {
+        return waitFor(submit(req));
+    }
 };
 
 /** In-process client over a shared scheduler. */
@@ -60,13 +74,18 @@ class LocalClient : public Client
   public:
     explicit LocalClient(ExperimentScheduler &sched) : sched_(sched) {}
 
-    ClientResult run(const ExperimentRequest &req) override;
+    /** Admit the request to the scheduler (Status::Shed when it is at
+     *  capacity) and keep its ticket until waitFor(). */
+    std::uint64_t submit(const ExperimentRequest &req) override;
+    ClientResult waitFor(std::uint64_t request_id) override;
     SchedulerMetrics stats() override { return sched_.metrics(); }
 
     ExperimentScheduler &scheduler() { return sched_; }
 
   private:
     ExperimentScheduler &sched_;
+    std::unordered_map<std::uint64_t, std::shared_future<ServeResult>>
+        tickets_;
 };
 
 /** Blocking TCP client (loopback). */
@@ -76,16 +95,13 @@ class TcpClient : public Client
     /** Connects immediately; throws net::NetError on failure. */
     explicit TcpClient(std::uint16_t port, int timeout_ms = 5000);
 
-    ClientResult run(const ExperimentRequest &req) override;
+    std::uint64_t submit(const ExperimentRequest &req) override;
+    ClientResult waitFor(std::uint64_t request_id) override;
     SchedulerMetrics stats() override;
 
     /** Full v3 stats: worker identity + metrics. */
     WorkerStats workerStats();
 
-    /** Send a request without waiting; returns its request id. */
-    std::uint64_t submit(const ExperimentRequest &req);
-    /** Block until the response for `request_id` arrives. */
-    ClientResult waitFor(std::uint64_t request_id);
     /** Best-effort cancellation of an in-flight request. */
     void cancel(std::uint64_t request_id);
 

@@ -147,7 +147,7 @@ class ExperimentScheduler
     Ticket submit(const ExperimentRequest &req,
                   std::function<void(const ServeResult &)> on_done = {});
 
-    /** submit() + wait: the synchronous (LocalClient) path. */
+    /** submit() + wait. */
     ServeResult serve(const ExperimentRequest &req);
 
     /** Block until no request is queued or running. */

@@ -68,27 +68,34 @@ System::initStaticDuty()
     const std::uint32_t n = opts_.cfg.piton.tileCount;
     piton_assert(opts_.tileFreqMhz.size() == n,
                  "tileFreqMhz must cover every tile");
-    // Same realization as applyActuation: a tile commanded f_t of the
-    // chip clock f runs round(f_t/step) of every round(f/step) windows.
-    const double step = power::VfParams{}.freqStepMhz;
-    dutyDen_ = static_cast<std::uint32_t>(
-        std::max<long long>(1, std::llround(opts_.coreClockMhz / step)));
-    dutyNum_.assign(n, dutyDen_);
+    realizeDuty(opts_.coreClockMhz, power::VfParams{}.freqStepMhz,
+                opts_.tileFreqMhz);
     dutyAcc_.assign(n, 0);
-    tileFreqCmd_.assign(n, opts_.coreClockMhz);
+    staticDuty_ = true;
+}
+
+void
+System::realizeDuty(double clock_mhz, double step_mhz,
+                    const std::vector<double> &tile_freq_mhz)
+{
+    const std::uint32_t n = opts_.cfg.piton.tileCount;
+    dutyDen_ = static_cast<std::uint32_t>(
+        std::max<long long>(1, std::llround(clock_mhz / step_mhz)));
+    dutyNum_.assign(n, dutyDen_);
+    tileFreqCmd_.assign(n, clock_mhz);
     for (std::uint32_t t = 0; t < n; ++t) {
-        const double f = opts_.tileFreqMhz[t];
+        const double f =
+            tile_freq_mhz.empty() ? clock_mhz : tile_freq_mhz[t];
         if (f <= 0.0) {
             tileFreqCmd_[t] = 0.0;
             dutyNum_[t] = 0;
             continue;
         }
-        tileFreqCmd_[t] = std::min(f, opts_.coreClockMhz);
-        const long long num = std::llround(tileFreqCmd_[t] / step);
+        tileFreqCmd_[t] = std::min(f, clock_mhz);
+        const long long num = std::llround(tileFreqCmd_[t] / step_mhz);
         dutyNum_[t] = static_cast<std::uint32_t>(std::min<long long>(
             std::max<long long>(num, 1), dutyDen_));
     }
-    staticDuty_ = true;
 }
 
 void
@@ -333,12 +340,8 @@ System::snapshotGovernorBaselines()
 {
     piton_assert(gov_ != nullptr, "governor baselines without governor");
     const std::uint32_t n = opts_.cfg.piton.tileCount;
-    const double step = gov_->vfModel().params().freqStepMhz;
-    dutyDen_ = static_cast<std::uint32_t>(
-        std::max<long long>(1, std::llround(effClockMhz_ / step)));
-    dutyNum_.assign(n, dutyDen_);
+    realizeDuty(effClockMhz_, gov_->vfModel().params().freqStepMhz, {});
     dutyAcc_.assign(n, 0);
-    tileFreqCmd_.assign(n, effClockMhz_);
     gatedTiles_ = 0;
     for (TileId t = 0; t < n; ++t)
         chip_->setTileGated(t, false);
@@ -459,26 +462,11 @@ System::applyActuation(const governor::Actuation &act)
     energy_.setOperatingPoint(effVddV_, opts_.vcsV);
     board_.setSupply(power::Rail::Vdd, effVddV_);
 
-    const double step = gov_->vfModel().params().freqStepMhz;
-    dutyDen_ = static_cast<std::uint32_t>(
-        std::max<long long>(1, std::llround(effClockMhz_ / step)));
-    const std::size_t n = dutyNum_.size();
-    for (std::size_t t = 0; t < n; ++t) {
-        const double f =
-            act.tileFreqMhz.empty() ? effClockMhz_ : act.tileFreqMhz[t];
-        if (f <= 0.0) {
-            tileFreqCmd_[t] = 0.0;
-            dutyNum_[t] = 0;
-        } else {
-            tileFreqCmd_[t] = std::min(f, effClockMhz_);
-            const long long num = std::llround(tileFreqCmd_[t] / step);
-            dutyNum_[t] = static_cast<std::uint32_t>(std::min<long long>(
-                std::max<long long>(num, 1), dutyDen_));
-        }
-        // Keep accumulators in range under a shrinking denominator.
-        if (dutyAcc_[t] >= dutyDen_)
-            dutyAcc_[t] = dutyDen_ - 1;
-    }
+    realizeDuty(effClockMhz_, gov_->vfModel().params().freqStepMhz,
+                act.tileFreqMhz);
+    // Keep accumulators in range under a shrinking denominator.
+    for (std::uint32_t &acc : dutyAcc_)
+        acc = std::min(acc, dutyDen_ - 1);
 }
 
 void

@@ -327,6 +327,14 @@ class System
     /** Build the duty tables from SystemOptions::tileFreqMhz (ctor). */
     void initStaticDuty();
 
+    /** Set dutyDen_, dutyNum_ and tileFreqCmd_ from per-tile commands
+     *  (MHz; <= 0 hard-gates a tile; empty = every tile at the chip
+     *  clock): Bresenham on the PLL grid, a tile commanded f_t of the
+     *  chip clock f runs round(f_t/step) of every round(f/step)
+     *  windows.  The accumulators are the caller's. */
+    void realizeDuty(double clock_mhz, double step_mhz,
+                     const std::vector<double> &tile_freq_mhz);
+
     /** Duty gates are live: a governor drives them, or the static
      *  per-tile table from SystemOptions::tileFreqMhz does. */
     bool dutyActive() const { return gov_ != nullptr || staticDuty_; }

@@ -70,10 +70,6 @@ inline constexpr const char *kTileCoreSuffix = ".core_j";
  *  uninterrupted run's export by design). */
 inline constexpr const char *kEventRestore = "event.restore";
 
-// Power-cap governor trace (recorded by core::PowerCapExperiment).
-inline constexpr const char *kGovernorCores = "governor.active_cores";
-inline constexpr const char *kGovernorMeasuredW = "governor.measured_w";
-
 /** Closed-loop DVFS governor trace (sim::System, one sample per
  *  control epoch; DESIGN.md §13).  freq/vdd are the operating point
  *  commanded *after* the epoch's control decision; power_w is the

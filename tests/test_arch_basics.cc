@@ -46,8 +46,10 @@ TEST(MainMemory, PagesAreIndependent)
 TEST(MainMemory, UnalignedAccessPanics)
 {
     MainMemory m;
-    EXPECT_THROW(m.read64(0x1001), std::logic_error);
-    EXPECT_THROW(m.write64(0x1004, 1), std::logic_error);
+    EXPECT_THROW(m.read64(0x1001), ProgramFault);
+    EXPECT_THROW(m.write64(0x1004, 1), ProgramFault);
+    std::vector<RegVal> out;
+    EXPECT_THROW(m.readBlock(0x1004, 16, out), ProgramFault);
 }
 
 TEST(MainMemory, BlockRead)

@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/memory.hh"
 #include "checkpoint/archive.hh"
 #include "governor/governor.hh"
 #include "sampling/profiler.hh"
@@ -236,10 +237,15 @@ fuzzImage(bool governed, std::uint64_t seed)
         }
         if (ok) {
             ++accepted;
+            // Restore cannot judge program or register bytes; a bad
+            // value may fault the program, never panic the simulator.
             try {
                 t.sys.runToCompletion(t.sys.options().cyclesPerSample);
-            } catch (const std::logic_error &) {
+            } catch (const arch::ProgramFault &) {
                 ++faulted;
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << "first window threw " << e.what() << ": "
+                              << where;
             }
         } else {
             t.sys.restoreBytes(base);

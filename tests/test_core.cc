@@ -292,7 +292,7 @@ TEST_F(CoreTest, FallingOffProgramEndPanics)
     const isa::Program p = isa::assemble("nop\n"); // no halt
     chip_.loadProgram(0, 0, &p);
     // Enough cycles to cover the cold I-fetch before the fall-off.
-    EXPECT_THROW(chip_.run(10000), std::logic_error);
+    EXPECT_THROW(chip_.run(10000), ProgramFault);
 }
 
 } // namespace

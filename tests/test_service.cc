@@ -358,7 +358,6 @@ TEST(ServiceRequest, SampledFieldsJoinOnlyEnergyKindsCacheIdentity)
 TEST(ServiceCache, EvictsLruUnderCapacityPressure)
 {
     CacheConfig cfg;
-    cfg.shards = 1; // deterministic budgets for the assertion
     cfg.maxEntries = 4;
     cfg.maxBytes = 0; // entry-bounded only
     ResultCache cache(cfg);
@@ -381,7 +380,6 @@ TEST(ServiceCache, EvictsLruUnderCapacityPressure)
 TEST(ServiceCache, ByteBudgetEvicts)
 {
     CacheConfig cfg;
-    cfg.shards = 1;
     cfg.maxEntries = 0;
     cfg.maxBytes = 64;
     ResultCache cache(cfg);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the instruction-trace hook and the power-capping study.
+ * Tests for the instruction-trace hook and the static power-capping
+ * study.
  */
 
 #include <gtest/gtest.h>
@@ -96,23 +97,6 @@ TEST_F(PowerCapTest, StaticCapRespectsTheCap)
     // A cap below idle supports zero extra cores.
     const auto tight = exp_.maxCoresUnderCap(1.0);
     EXPECT_EQ(tight.maxCores, 0u);
-}
-
-TEST_F(PowerCapTest, GovernorConvergesUnderTheCap)
-{
-    const auto trace = exp_.reactiveGovernor(3.0, 0.5, 25.0);
-    ASSERT_FALSE(trace.points.empty());
-    // Starts at full demand, throttles down...
-    EXPECT_EQ(trace.points.front().activeCores, 25u);
-    // ... and settles near the static answer.
-    const auto static_r = exp_.maxCoresUnderCap(3.0);
-    EXPECT_NEAR(static_r.maxCores, trace.settledCores, 2u);
-    // The violation window is only the initial throttle-down.
-    EXPECT_LT(trace.violationFraction, 0.45);
-    // The tail of the trace stays under the cap.
-    for (std::size_t i = trace.points.size() - 5;
-         i < trace.points.size(); ++i)
-        EXPECT_LE(trace.points[i].measuredPowerW, 3.0 + 0.01);
 }
 
 } // namespace

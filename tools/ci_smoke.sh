@@ -2,7 +2,7 @@
 # End-to-end smoke gates that are not gtest cases: the service daemon
 # exchange, the governor export round trip and scenario runs, and the
 # --verify gates of the service, sampling, warm-start and search
-# benches, plus a loopback optimization query.
+# benches, plus an in-process and a loopback optimization query.
 #
 #   tools/ci_smoke.sh <build-dir>
 #
@@ -140,11 +140,19 @@ step "sampling: warm-start bit-identity gate (--verify)"
 "$bench/bench_ablation_warmstart" --verify
 
 # The bench's own gates: same seed → bit-identical best candidate and
-# trajectory across reruns, engines, oracle thread counts, and backends
-# (executor-direct vs the service scheduler); cache hits on revisits;
-# sa/ga no worse than random at equal budget.
+# trajectory across reruns, engines, scheduler thread counts, and
+# transports (LocalClient vs loopback TcpClient); cache hits on
+# revisits; sa/ga no worse than random at equal budget.
 step "search: determinism + quality gauntlet (--verify)"
 "$bench/bench_search" --verify
+
+# The same query in process: an ExperimentScheduler behind a
+# LocalClient, batches pipelined across two workers.
+step "search: in-process optimization query (piton-searchctl)"
+"$tools/piton-searchctl" minimize-epi --threads 2 \
+    --engine sa --budget 18 --cores 3 \
+    --explore-iterations 1 --out trajectory_local.csv
+head -1 trajectory_local.csv | grep -q '^oracle_calls,best_score$'
 
 # The EXPERIMENTS.md "optimization queries" loopback example, end to
 # end: a worker daemon serves a minimize-epi query over TCP and the
@@ -158,6 +166,8 @@ await_server 7430
     --explore-iterations 1 --out trajectory.csv
 head -1 trajectory.csv | grep -q '^oracle_calls,best_score$'
 [ "$(wc -l < trajectory.csv)" -gt 1 ]
+# Both transports drive the search to the same trajectory.
+cmp trajectory_local.csv trajectory.csv
 "$ctl" --port 7430 shutdown
 wait "$server_pid"
 server_pid=""

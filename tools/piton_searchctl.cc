@@ -7,8 +7,9 @@
  *
  * Goals: minimize-epi | min-energy-capped | max-throughput.
  *
- * Backend selection (the evaluation oracle):
- *   (default)      in-process executor with a local result memo
+ * Backend selection (the service behind the evaluation oracle):
+ *   (default)      an in-process ExperimentScheduler with --threads N
+ *                  workers (default 1)
  *   --port N       one piton-served worker (pipelined TCP)
  *
  * Search options:
@@ -228,19 +229,22 @@ main(int argc, char **argv)
         task.base.chipId = chip_id;
         task.space = search::defaultSpace(cores, chip_id);
 
-        std::unique_ptr<service::TcpClient> tcp;
-        std::unique_ptr<search::Oracle> oracle;
+        std::unique_ptr<service::ExperimentScheduler> sched;
+        std::unique_ptr<service::Client> client;
         if (port != 0) {
-            tcp = std::make_unique<service::TcpClient>(port);
-            oracle = std::make_unique<search::ClientOracle>(*tcp);
+            client = std::make_unique<service::TcpClient>(port);
         } else {
-            oracle = std::make_unique<search::InProcessOracle>(threads);
+            service::SchedulerConfig cfg;
+            cfg.threads = threads;
+            sched = std::make_unique<service::ExperimentScheduler>(cfg);
+            client = std::make_unique<service::LocalClient>(*sched);
         }
+        search::ClientOracle oracle(*client);
 
         const std::unique_ptr<search::Searcher> searcher =
             search::makeSearcher(engine);
         const search::SearchResult r =
-            searcher->search(task, *oracle, opts);
+            searcher->search(task, oracle, opts);
 
         std::printf("engine %s, goal %s, %" PRIu64 " oracle calls"
                     " (%" PRIu64 " cache hits, ratio %.3f)\n",
