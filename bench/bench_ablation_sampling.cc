@@ -8,7 +8,9 @@
  *   full:       plain runToCompletion — the exact reference energy,
  *               execution time, and EPI;
  *   profile:    the same run under the interval profiler (BBV
- *               histograms + per-interval checkpoint images);
+ *               histograms + per-interval checkpoint images), with the
+ *               bytes the profile stores: packed against unpacked
+ *               images, and the sparse BBVs;
  *   --sampled:  cluster the profile's intervals into phases, re-simulate
  *               only one representative slice per cluster (forked from
  *               its interval-start image), and stitch a whole-run
@@ -26,8 +28,10 @@
  *   --max-slices N       clusters / representative slices
  *   --verify             exit non-zero unless the stitched EPI is
  *                        within kEpiTolerance of the exact value, the
- *                        CI covers it, and the simulated fraction is
- *                        at most kMaxSimulatedFrac
+ *                        CI covers it, the simulated fraction is
+ *                        at most kMaxSimulatedFrac, and the packed
+ *                        images take at most kMaxPackedRatio of their
+ *                        unpacked bytes
  */
 
 #include <chrono>
@@ -40,6 +44,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "checkpoint/archive.hh"
 #include "common/table.hh"
 #include "isa/program.hh"
 #include "sampling/cluster.hh"
@@ -57,6 +62,7 @@ using Clock = std::chrono::steady_clock;
 /** Committed accuracy/coverage tolerances (the CI job's contract). */
 constexpr double kEpiTolerance = 0.02;     ///< |EPI error| / EPI
 constexpr double kMaxSimulatedFrac = 0.10; ///< re-simulated insns share
+constexpr double kMaxPackedRatio = 0.5;    ///< packed / unpacked images
 
 constexpr std::uint32_t kTiles = 25;
 constexpr std::uint32_t kThreadsPerCore = 2;
@@ -153,6 +159,22 @@ main(int argc, char **argv)
                 prof.intervals().size(),
                 static_cast<unsigned long long>(interval_insns), prof_s);
 
+    std::size_t packed_b = 0, unpacked_b = 0, bbv_b = 0;
+    for (const sampling::IntervalRecord &rec : prof.intervals()) {
+        packed_b += rec.image.size();
+        if (!rec.image.empty())
+            unpacked_b += ckpt::unpackImage(rec.image).size();
+        bbv_b += rec.bbv.index.capacity() * sizeof(std::uint32_t)
+                 + rec.bbv.value.capacity() * sizeof(std::uint64_t);
+    }
+    const double packed_ratio =
+        unpacked_b != 0 ? static_cast<double>(packed_b)
+                              / static_cast<double>(unpacked_b)
+                        : 0.0;
+    std::printf("storage:    images %zu B packed of %zu B unpacked "
+                "(ratio %.3f), BBVs %zu B\n",
+                packed_b, unpacked_b, packed_ratio, bbv_b);
+
     // Cluster + replay + stitch.
     sampling::SampledOptions sopts;
     sopts.maxSlices = max_slices;
@@ -204,6 +226,13 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "FAIL: simulated fraction %.4f > %.4f\n",
                          est.simulatedFrac, kMaxSimulatedFrac);
+            ok = false;
+        }
+        if (packed_ratio > kMaxPackedRatio) {
+            std::fprintf(stderr,
+                         "FAIL: packed images take %.3f of their "
+                         "unpacked bytes > %.3f\n",
+                         packed_ratio, kMaxPackedRatio);
             ok = false;
         }
         if (!covered) {

@@ -1,6 +1,8 @@
 #include "checkpoint/archive.hh"
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdio>
 
 namespace piton::ckpt
@@ -9,17 +11,25 @@ namespace piton::ckpt
 namespace
 {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/** Slicing-by-8 tables: [0] is the bytewise table of the reflected
+ *  IEEE polynomial, [k] advances a byte's remainder through k more
+ *  zero bytes. */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < t.size(); ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    return t;
 }
 
 /** Little-endian scalar append/extract.  The simulator only targets
@@ -43,16 +53,148 @@ getScalar(const std::uint8_t *p)
     return v;
 }
 
+/** Shortest zero run worth its own pack token: splitting a literal
+ *  around a run costs two varint bytes. */
+constexpr std::size_t kMinZeroRun = 3;
+
+/** End of the zero run that starts at `i` (`i` itself when p[i] is not
+ *  zero), a word at a time. */
+std::size_t
+zeroRunEnd(const std::uint8_t *p, std::size_t n, std::size_t i)
+{
+    for (; i + 8 <= n; i += 8) {
+        const auto w = getScalar<std::uint64_t>(p + i);
+        if (w != 0)
+            return i + static_cast<std::size_t>(std::countr_zero(w)) / 8;
+    }
+    while (i < n && p[i] == 0)
+        ++i;
+    return i;
+}
+
+/** First zero byte at or after `i` (`n` when none), a word at a time.
+ *  The has-zero-byte mask is exact for the lowest zero byte: borrows
+ *  only run upward from it. */
+std::size_t
+nextZeroByte(const std::uint8_t *p, std::size_t n, std::size_t i)
+{
+    constexpr std::uint64_t kLow = 0x0101010101010101ull;
+    constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+    for (; i + 8 <= n; i += 8) {
+        const auto w = getScalar<std::uint64_t>(p + i);
+        const std::uint64_t z = (w - kLow) & ~w & kHigh;
+        if (z != 0)
+            return i + static_cast<std::size_t>(std::countr_zero(z)) / 8;
+    }
+    while (i < n && p[i] != 0)
+        ++i;
+    return i;
+}
+
+void
+putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
+{
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<std::uint8_t>(v | 0x80));
+    out.push_back(static_cast<std::uint8_t>(v));
+}
+
+std::uint64_t
+getVarint(const std::vector<std::uint8_t> &in, std::size_t &pos)
+{
+    std::uint64_t v = 0;
+    for (unsigned shift = 0; shift < 64; shift += 7) {
+        Archive::check(pos < in.size(), "packed image truncated");
+        const std::uint8_t b = in[pos++];
+        Archive::check(shift < 63 || b <= 1, "packed image varint overflow");
+        v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
+        if ((b & 0x80u) == 0)
+            return v;
+    }
+    throw CheckpointError("packed image varint overflow");
+}
+
 } // namespace
 
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t len)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     std::uint32_t c = 0xFFFFFFFFu;
+    for (; len >= 8; data += 8, len -= 8) {
+        const std::uint32_t lo = c ^ getScalar<std::uint32_t>(data);
+        const std::uint32_t hi = getScalar<std::uint32_t>(data + 4);
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu]
+            ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24]
+            ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu]
+            ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
     for (std::size_t i = 0; i < len; ++i)
-        c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+        c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t>
+packImage(const std::vector<std::uint8_t> &raw)
+{
+    const std::uint8_t *p = raw.data();
+    const std::size_t n = raw.size();
+    std::vector<std::uint8_t> out;
+    putVarint(out, n);
+    for (std::size_t i = 0; i < n;) {
+        const std::size_t lit = zeroRunEnd(p, n, i);
+        // The literal runs up to the next zero run worth a token.
+        std::size_t end = lit;
+        while (end < n) {
+            const std::size_t z = nextZeroByte(p, n, end);
+            const std::size_t z_end = zeroRunEnd(p, n, z);
+            if (z_end - z >= kMinZeroRun) {
+                end = z;
+                break;
+            }
+            end = z_end;
+        }
+        putVarint(out, lit - i);
+        putVarint(out, end - lit);
+        out.insert(out.end(), p + lit, p + end);
+        i = end;
+    }
+    out.shrink_to_fit(); // held for the profile's lifetime
+    return out;
+}
+
+std::vector<std::uint8_t>
+unpackImage(const std::vector<std::uint8_t> &packed)
+{
+    std::size_t pos = 0;
+    const std::uint64_t total = getVarint(packed, pos);
+    const std::size_t body = pos;
+    std::uint64_t sum = 0;
+    while (pos < packed.size()) {
+        const std::uint64_t zeros = getVarint(packed, pos);
+        const std::uint64_t lits = getVarint(packed, pos);
+        Archive::check(zeros <= total - sum && lits <= total - sum - zeros,
+                       "packed image longer than its recorded length");
+        Archive::check(lits <= packed.size() - pos,
+                       "packed image truncated");
+        sum += zeros + lits;
+        pos += static_cast<std::size_t>(lits);
+    }
+    Archive::check(sum == total,
+                   "packed image shorter than its recorded length");
+    Archive::check(total <= PTRDIFF_MAX, "packed image too large");
+
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(total));
+    std::size_t at = 0;
+    for (pos = body; pos < packed.size();) {
+        at += static_cast<std::size_t>(getVarint(packed, pos));
+        const auto lits = static_cast<std::size_t>(getVarint(packed, pos));
+        std::copy_n(packed.begin() + static_cast<std::ptrdiff_t>(pos), lits,
+                    out.begin() + static_cast<std::ptrdiff_t>(at));
+        at += lits;
+        pos += lits;
+    }
+    return out;
 }
 
 Archive

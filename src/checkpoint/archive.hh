@@ -81,6 +81,23 @@ inline constexpr std::uint32_t kFormatVersion = 6;
 /** CRC32 (IEEE 802.3, reflected) of a byte range. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t len);
 
+/**
+ * Zero-run packing of a checkpoint image, for images held in memory
+ * (most image bytes are zero: unused registers, cleared counters, the
+ * high bytes of small fields).  The packed form is a LEB128 varint of
+ * the unpacked length, then tokens of varint(zero bytes),
+ * varint(literal bytes) and the literal bytes; a zero run shorter than
+ * three bytes stays inside its literal.  It is an in-memory form only:
+ * archives always carry images unpacked.
+ */
+std::vector<std::uint8_t> packImage(const std::vector<std::uint8_t> &raw);
+
+/** Inverse of packImage.  Throws CheckpointError on a malformed
+ *  stream (truncated varint or literal, or tokens that do not add up
+ *  to the recorded length); the whole stream is checked before the
+ *  output is allocated. */
+std::vector<std::uint8_t> unpackImage(const std::vector<std::uint8_t> &packed);
+
 class Archive
 {
   public:

@@ -12,20 +12,28 @@ namespace piton::sampling
 namespace
 {
 
+/** Squared distance of a sparse point to a dense center, in the dense
+ *  order: every dimension, ascending.  An unlisted coordinate adds
+ *  (0.0 - c)^2, which is exactly c * c. */
 double
-sqDist(const std::vector<double> &a, const std::vector<double> &b)
+sqDist(const SparseFeature &p, const std::vector<double> &c)
 {
     double d = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double x = a[i] - b[i];
+    std::size_t i = 0;
+    for (std::size_t k = 0; k < p.index.size(); ++k, ++i) {
+        for (; i < p.index[k]; ++i)
+            d += c[i] * c[i];
+        const double x = p.value[k] - c[i];
         d += x * x;
     }
+    for (; i < c.size(); ++i)
+        d += c[i] * c[i];
     return d;
 }
 
 /** Nearest center of `p` (ties to the lowest center index). */
 std::uint32_t
-nearestCenter(const std::vector<double> &p,
+nearestCenter(const SparseFeature &p,
               const std::vector<std::vector<double>> &centers)
 {
     std::uint32_t best = 0;
@@ -42,23 +50,26 @@ nearestCenter(const std::vector<double> &p,
 
 } // namespace
 
-std::vector<double>
-normalizeBbv(const std::vector<std::uint64_t> &bbv)
+SparseFeature
+normalizeBbv(const SparseBbv &bbv)
 {
     std::uint64_t total = 0;
-    for (const std::uint64_t v : bbv)
+    for (const std::uint64_t v : bbv.value)
         total += v;
-    std::vector<double> out(bbv.size(), 0.0);
+    SparseFeature out;
+    out.dims = bbv.dims;
     if (total == 0)
         return out;
     const double inv = 1.0 / static_cast<double>(total);
-    for (std::size_t i = 0; i < bbv.size(); ++i)
-        out[i] = static_cast<double>(bbv[i]) * inv;
+    out.index = bbv.index;
+    out.value.reserve(bbv.value.size());
+    for (const std::uint64_t v : bbv.value)
+        out.value.push_back(static_cast<double>(v) * inv);
     return out;
 }
 
 ClusterResult
-kmeansCluster(const std::vector<std::vector<double>> &points,
+kmeansCluster(const std::vector<SparseFeature> &points,
               const std::vector<double> &weights,
               const ClusterOptions &opts)
 {
@@ -67,9 +78,9 @@ kmeansCluster(const std::vector<std::vector<double>> &points,
     if (n == 0)
         return res;
     piton_assert(weights.size() == n, "weights/points size mismatch");
-    const std::size_t dims = points[0].size();
+    const std::size_t dims = points[0].dims;
     for (const auto &p : points)
-        piton_assert(p.size() == dims, "inconsistent feature dims");
+        piton_assert(p.dims == dims, "inconsistent feature dims");
 
     const std::uint32_t k = static_cast<std::uint32_t>(std::min<std::size_t>(
         std::max<std::uint32_t>(opts.maxClusters, 1), n));
@@ -78,7 +89,7 @@ kmeansCluster(const std::vector<std::vector<double>> &points,
     // center; everything after is a pure function of the points.
     std::vector<std::vector<double>> centers;
     centers.reserve(k);
-    centers.push_back(points[deriveTaskSeed(opts.seed, 0) % n]);
+    centers.push_back(points[deriveTaskSeed(opts.seed, 0) % n].toDense());
     std::vector<double> min_d(n);
     for (std::size_t i = 0; i < n; ++i)
         min_d[i] = sqDist(points[i], centers[0]);
@@ -87,7 +98,7 @@ kmeansCluster(const std::vector<std::vector<double>> &points,
         for (std::size_t i = 1; i < n; ++i)
             if (min_d[i] > min_d[far]) // strict: ties to lowest index
                 far = i;
-        centers.push_back(points[far]);
+        centers.push_back(points[far].toDense());
         for (std::size_t i = 0; i < n; ++i)
             min_d[i] = std::min(min_d[i], sqDist(points[i], centers.back()));
     }
@@ -117,8 +128,9 @@ kmeansCluster(const std::vector<std::vector<double>> &points,
             const std::uint32_t c = assign[i];
             const double w = weights[i];
             cw[c] += w;
-            for (std::size_t d = 0; d < dims; ++d)
-                sums[c][d] += w * points[i][d];
+            const SparseFeature &p = points[i];
+            for (std::size_t k = 0; k < p.index.size(); ++k)
+                sums[c][p.index[k]] += w * p.value[k];
         }
         for (std::uint32_t c = 0; c < k; ++c) {
             if (cw[c] > 0.0) {
@@ -138,7 +150,7 @@ kmeansCluster(const std::vector<std::vector<double>> &points,
                     far = i;
                 }
             }
-            centers[c] = points[far];
+            centers[c] = points[far].toDense();
         }
     }
 

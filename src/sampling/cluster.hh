@@ -14,6 +14,13 @@
  * so the clustering, the representatives, and the weights are
  * bit-identical for a given profile regardless of engine, thread
  * count, or host parallelism.
+ *
+ * BBVs and features are sparse (most buckets of an interval are zero);
+ * centers stay dense.  The arithmetic is the dense one bit for bit:
+ * distances walk every dimension in index order, taking 0.0 - c as
+ * -c, which is exact, and centroid sums skip only the w * 0.0 terms
+ * of unlisted coordinates, which never change a sum that starts at
+ * +0.0.
  */
 
 #ifndef PITON_SAMPLING_CLUSTER_HH
@@ -24,6 +31,50 @@
 
 namespace piton::sampling
 {
+
+/** A vector of `dims` coordinates that lists only its nonzero ones,
+ *  as (index, value) pairs in ascending index order. */
+template <typename T>
+struct SparseVector
+{
+    std::uint32_t dims = 0;
+    std::vector<std::uint32_t> index;
+    std::vector<T> value;
+
+    static SparseVector
+    fromDense(const std::vector<T> &dense)
+    {
+        SparseVector s;
+        s.dims = static_cast<std::uint32_t>(dense.size());
+        // Count first: a profile holds its BBVs for the whole run, so
+        // the lists get exact capacity.
+        std::size_t live = 0;
+        for (const T &v : dense)
+            live += v != T{} ? 1 : 0;
+        s.index.reserve(live);
+        s.value.reserve(live);
+        for (std::uint32_t i = 0; i < s.dims; ++i)
+            if (dense[i] != T{}) {
+                s.index.push_back(i);
+                s.value.push_back(dense[i]);
+            }
+        return s;
+    }
+
+    std::vector<T>
+    toDense() const
+    {
+        std::vector<T> dense(dims, T{});
+        for (std::size_t k = 0; k < index.size(); ++k)
+            dense[index[k]] = value[k];
+        return dense;
+    }
+};
+
+/** Per-interval BBV deltas (flat tile-major bucket index). */
+using SparseBbv = SparseVector<std::uint64_t>;
+/** L1-normalized BBV frequencies. */
+using SparseFeature = SparseVector<double>;
 
 struct ClusterOptions
 {
@@ -53,17 +104,17 @@ struct ClusterResult
 
 /** L1-normalize a BBV count vector into a frequency feature (all-zero
  *  input stays all-zero). */
-std::vector<double> normalizeBbv(const std::vector<std::uint64_t> &bbv);
+SparseFeature normalizeBbv(const SparseBbv &bbv);
 
 /**
- * Weighted k-means over `points` (all the same dimensionality).
+ * Weighted k-means over `points` (all the same `dims`).
  * `weights` (same length; e.g. per-interval instruction counts) drive
  * the centroid means and the cluster weights.  Initialization is
  * seeded farthest-point: the first center is seed-derived, each later
  * center is the point farthest from its nearest chosen center.
  * Empty clusters re-seed to the globally worst-fit point.
  */
-ClusterResult kmeansCluster(const std::vector<std::vector<double>> &points,
+ClusterResult kmeansCluster(const std::vector<SparseFeature> &points,
                             const std::vector<double> &weights,
                             const ClusterOptions &opts);
 

@@ -12,6 +12,19 @@ namespace piton::sampling
 namespace
 {
 
+/** A packed image through the archive in its unpacked layout; an
+ *  empty vector (no image captured) stays empty. */
+void
+ioPackedImage(ckpt::Archive &ar, std::vector<std::uint8_t> &packed)
+{
+    std::vector<std::uint8_t> raw;
+    if (ar.saving() && !packed.empty())
+        raw = ckpt::unpackImage(packed);
+    ar.ioBytes(raw);
+    if (ar.loading())
+        packed = raw.empty() ? std::move(raw) : ckpt::packImage(raw);
+}
+
 /** Flatten the chip's per-tile BBV histograms, tile-major. */
 std::vector<std::uint64_t>
 flattenBbv(arch::PitonChip &chip)
@@ -108,10 +121,11 @@ IntervalProfiler::closeInterval(bool partial)
     rec.windows = curWindows_;
     rec.partial = partial;
 
+    // prevBbv_ turns into the delta, then takes the new snapshot.
     std::vector<std::uint64_t> bbv_now = flattenBbv(chip);
-    rec.bbv.resize(bbv_now.size());
     for (std::size_t i = 0; i < bbv_now.size(); ++i)
-        rec.bbv[i] = bbv_now[i] - prevBbv_[i];
+        prevBbv_[i] = bbv_now[i] - prevBbv_[i];
+    rec.bbv = SparseBbv::fromDense(prevBbv_);
     prevBbv_ = std::move(bbv_now);
 
     rec.image = std::move(pendingImage_);
@@ -152,9 +166,9 @@ IntervalProfiler::captureImage()
     // not the profiler (whose records hold earlier images — nesting
     // them would grow each image quadratically in the interval count).
     sys_.attachCheckpointClient(nullptr);
-    std::vector<std::uint8_t> img = sys_.saveBytes();
+    const std::vector<std::uint8_t> img = sys_.saveBytes();
     sys_.attachCheckpointClient(this);
-    return img;
+    return ckpt::packImage(img);
 }
 
 void
@@ -231,12 +245,15 @@ IntervalProfiler::serializeClient(ckpt::Archive &ar)
     startLedger_.serialize(ar);
 
     std::uint64_t nb = ar.ioSize(prevBbv_.size(), 8);
+    const arch::PitonChip &chip = sys_.pitonChip();
+    ar.check(nb == std::uint64_t{chip.bbvBuckets()} * chip.params().tileCount,
+             "sampling BBV snapshot does not match the chip");
     if (ar.loading())
         prevBbv_.resize(static_cast<std::size_t>(nb));
     for (auto &v : prevBbv_)
         ar.io(v);
 
-    ar.ioBytes(pendingImage_);
+    ioPackedImage(ar, pendingImage_);
 
     std::uint64_t nr = ar.ioSize(intervals_.size(), 1);
     if (ar.loading())
@@ -251,12 +268,17 @@ IntervalProfiler::serializeClient(ckpt::Archive &ar)
         ar.io(rec.idleJ);
         ar.io(rec.windows);
         ar.io(rec.partial);
-        std::uint64_t nv = ar.ioSize(rec.bbv.size(), 8);
+        std::vector<std::uint64_t> bbv;
+        if (ar.saving())
+            bbv = rec.bbv.toDense();
+        std::uint64_t nv = ar.ioSize(bbv.size(), 8);
         if (ar.loading())
-            rec.bbv.resize(static_cast<std::size_t>(nv));
-        for (auto &v : rec.bbv)
+            bbv.resize(static_cast<std::size_t>(nv));
+        for (auto &v : bbv)
             ar.io(v);
-        ar.ioBytes(rec.image);
+        if (ar.loading())
+            rec.bbv = SparseBbv::fromDense(bbv);
+        ioPackedImage(ar, rec.image);
     }
     if (ar.loading())
         tids_.ready = false; // re-resolve against whatever is attached

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sampling/cluster.hh"
 #include "sim/system.hh"
 
 namespace piton::sampling
@@ -58,11 +59,13 @@ struct IntervalRecord
     double idleJ = 0.0;           ///< clock-tree + leakage energy (J)
     std::uint32_t windows = 0;    ///< run windows in the interval
     bool partial = false;         ///< the tail (closed by finish())
-    /** Flattened per-tile BBV deltas, tile-major: tiles x buckets. */
-    std::vector<std::uint64_t> bbv;
-    /** System checkpoint at interval start (empty without
-     *  captureImages); restoring it and running `cycles` cycles
-     *  bitwise-reproduces this interval. */
+    /** Nonzero per-tile BBV deltas; flat index tile-major
+     *  (tile * buckets + bucket), dims = tiles x buckets. */
+    SparseBbv bbv;
+    /** System checkpoint at interval start, zero-run packed
+     *  (ckpt::packImage; empty without captureImages); restoring the
+     *  unpacked image and running `cycles` cycles bitwise-reproduces
+     *  this interval. */
     std::vector<std::uint8_t> image;
 
     /** On-chip (VDD+VCS) energy of the interval. */
@@ -80,6 +83,8 @@ struct IntervalRecord
  * the optional sys.sampling section; construct a fresh System +
  * profiler and restore to continue bit-identically.  Restoring an
  * image without the section restarts profiling at the restored state.
+ * The section keeps the dense layout (full BBV vectors, unpacked
+ * images): save densifies and unpacks, load sparsifies and packs.
  */
 class IntervalProfiler : public sim::CheckpointClient
 {
@@ -123,8 +128,9 @@ class IntervalProfiler : public sim::CheckpointClient
     void closeInterval(bool partial);
     /** Re-aim the in-progress interval at the system's current state. */
     void snapshotStart();
-    /** Checkpoint the system with this client detached (a profiler
-     *  image inside a profiler record would nest quadratically). */
+    /** Packed checkpoint of the system with this client detached (a
+     *  profiler image inside a profiler record would nest
+     *  quadratically). */
     std::vector<std::uint8_t> captureImage();
     void recordTelemetry(const IntervalRecord &rec);
 
@@ -141,7 +147,7 @@ class IntervalProfiler : public sim::CheckpointClient
     power::RailEnergy startLedger_;
     /** Flattened BBV snapshot at the current interval's start. */
     std::vector<std::uint64_t> prevBbv_;
-    /** Image captured at the current interval's start. */
+    /** Packed image captured at the current interval's start. */
     std::vector<std::uint8_t> pendingImage_;
     bool finished_ = false;
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 
+#include "checkpoint/archive.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "sim/warm_start.hh"
@@ -25,7 +26,7 @@ selectSlices(const std::vector<IntervalRecord> &intervals,
              const SampledOptions &opts)
 {
     const std::vector<std::size_t> idx = clusterableIntervals(intervals);
-    std::vector<std::vector<double>> feats;
+    std::vector<SparseFeature> feats;
     std::vector<double> weights;
     feats.reserve(idx.size());
     weights.reserve(idx.size());
@@ -98,7 +99,9 @@ runSampled(const std::vector<IntervalRecord> &intervals,
                      "(profile captured without captureImages?)",
                      which);
         const std::unique_ptr<sim::System> sys =
-            sim::SweepWarmStart::fromImage(opts, rec.image).fork();
+            sim::SweepWarmStart::fromImage(opts,
+                                           ckpt::unpackImage(rec.image))
+                .fork();
         const sim::CompletionResult res = sys->runToCompletion(rec.cycles);
         SliceResult s;
         s.interval = static_cast<std::uint32_t>(which);

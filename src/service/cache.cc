@@ -69,15 +69,12 @@ ResultCache::lookup(const Hash128 &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        ++counts_.misses;
+    if (it == entries_.end())
         return nullptr;
-    }
     if (payloadCrc(*it->second.payload) != it->second.crc) {
         ++counts_.corruptRejected;
         lru_.erase(it->second.lruPos);
         entries_.erase(it);
-        ++counts_.misses;
         return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second.lruPos);

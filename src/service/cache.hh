@@ -104,7 +104,9 @@ class ResultCache
      */
     Acquired acquire(const Hash128 &key);
 
-    /** Plain lookup: no single-flight registration. */
+    /** Plain lookup of a memory entry: no single-flight registration
+     *  and no disk probe.  Counts hits only, so a miss that goes on to
+     *  acquire() is counted once, there. */
     CachePayload lookup(const Hash128 &key);
 
     /** Store the leader's payload and wake all waiters. */

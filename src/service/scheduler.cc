@@ -209,9 +209,8 @@ ExperimentScheduler::submit(const ExperimentRequest &req,
     ticket.result = promise->get_future().share();
     ticket.cancel = ctl.cancelled;
 
-    pool_.submit([this, canon = std::move(canon), ctl, promise,
-                  submitted_at, on_done = std::move(on_done)] {
-        ServeResult r = execute(canon, ctl);
+    auto complete = [this, promise, submitted_at,
+                     on_done = std::move(on_done)](const ServeResult &r) {
         recordOutcome(r, submitted_at);
         promise->set_value(r);
         if (on_done)
@@ -222,6 +221,24 @@ ExperimentScheduler::submit(const ExperimentRequest &req,
             std::lock_guard<std::mutex> lock(drainMutex_);
             drainCv_.notify_all();
         }
+    };
+
+    // A verified hit needs no simulation: serve it here instead of
+    // queueing it behind running misses.  Misses (and disk hits) go to
+    // the pool, whose acquire() counts them.
+    const Hash128 key = canon.cacheKey(cfg_.versionSalt);
+    if (CachePayload body = resultCache_.lookup(key)) {
+        ServeResult r;
+        r.status = Status::Ok;
+        r.cacheHit = true;
+        r.body = std::move(body);
+        complete(r);
+        return ticket;
+    }
+
+    pool_.submit([this, canon = std::move(canon), key, ctl,
+                  complete = std::move(complete)] {
+        complete(execute(canon, key, ctl));
     });
     return ticket;
 }
@@ -234,7 +251,7 @@ ExperimentScheduler::serve(const ExperimentRequest &req)
 
 ServeResult
 ExperimentScheduler::execute(const ExperimentRequest &canon,
-                             const RunControl &ctl)
+                             const Hash128 &key, const RunControl &ctl)
 {
     if (ctl.isCancelled() || ctl.deadlineExpired()) {
         const Status s = ctl.isCancelled() ? Status::Cancelled
@@ -242,7 +259,6 @@ ExperimentScheduler::execute(const ExperimentRequest &canon,
         return failureResult(s, canon.kind, "rejected in queue");
     }
 
-    const Hash128 key = canon.cacheKey(cfg_.versionSalt);
     ResultCache::Acquired acq = resultCache_.acquire(key);
     if (acq.hit()) {
         ServeResult r;

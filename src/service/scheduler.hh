@@ -10,11 +10,13 @@
  *  2. admitted or shed: at most `maxPending` requests may be queued or
  *     running; beyond that the request is rejected immediately with
  *     Status::Shed instead of growing an unbounded queue,
- *  3. keyed and looked up: an exact cache hit returns the stored body
- *     byte-identically; concurrent misses on the same key coalesce
- *     (single-flight) so the experiment runs once,
- *  4. executed on the pool with its deadline/cancel control; only Ok
- *     responses are published to the cache.
+ *  3. keyed and looked up on the submitting thread: a verified cache
+ *     hit completes there, with the stored body byte-identically,
+ *     without waiting behind running misses,
+ *  4. otherwise executed on the pool with its deadline/cancel control:
+ *     concurrent misses on the same key coalesce (single-flight) so
+ *     the experiment runs once, and only Ok responses are published to
+ *     the cache.
  *
  * Per-request latency (submit to completion) feeds a bounded reservoir
  * from which metrics() derives p50/p99.  exportTelemetry() publishes
@@ -141,8 +143,9 @@ class ExperimentScheduler
      *
      * `on_done`, when set, fires exactly once with the final result —
      * on the worker thread for executed requests, or synchronously
-     * inside submit() for requests rejected at admission.  The server
-     * uses it to push completions into its poll loop.
+     * inside submit() for cache hits and for requests rejected at
+     * admission.  The server uses it to push completions into its
+     * poll loop.
      */
     Ticket submit(const ExperimentRequest &req,
                   std::function<void(const ServeResult &)> on_done = {});
@@ -174,7 +177,7 @@ class ExperimentScheduler
         return cfg_.clock ? cfg_.clock()
                           : std::chrono::steady_clock::now();
     }
-    ServeResult execute(const ExperimentRequest &canon,
+    ServeResult execute(const ExperimentRequest &canon, const Hash128 &key,
                         const RunControl &ctl);
     void recordOutcome(const ServeResult &r,
                        std::chrono::steady_clock::time_point submitted_at);

@@ -825,6 +825,118 @@ TEST(CheckpointSparse, PhasedChipImageIsSmall)
     EXPECT_LT(phasedChipImage().size(), 128u * 1024u);
 }
 
+TEST(CheckpointPack, RoundTripsEdgeCases)
+{
+    std::vector<std::vector<std::uint8_t>> cases;
+    cases.push_back({});                                   // empty
+    cases.push_back(std::vector<std::uint8_t>(1000, 0));   // all zero
+    std::vector<std::uint8_t> dense(1001);
+    for (std::size_t i = 0; i < dense.size(); ++i)
+        dense[i] = static_cast<std::uint8_t>(1 + i % 255); // zero-free
+    cases.push_back(dense);
+    cases.push_back({7, 8, 9, 0});                         // trailing 0
+    cases.push_back({0, 0, 5, 0, 0, 0, 6, 0, 0});          // short runs
+    std::vector<std::uint8_t> long_runs(3 * (1u << 16) + 5, 0);
+    long_runs[1] = 0xAB;                                   // runs > 2^16
+    long_runs[(1u << 16) + 9] = 0xCD;
+    long_runs.back() = 0xEF;
+    cases.push_back(long_runs);
+    cases.push_back(std::vector<std::uint8_t>((1u << 17) + 3, 0));
+    for (std::size_t n = 0; n < 20; ++n) {                 // word edges
+        std::vector<std::uint8_t> v(n, 0);
+        if (n > 0)
+            v[n / 2] = 1;
+        cases.push_back(v);
+    }
+    for (const auto &raw : cases) {
+        const std::vector<std::uint8_t> packed = ckpt::packImage(raw);
+        EXPECT_EQ(ckpt::unpackImage(packed), raw) << "size " << raw.size();
+    }
+    // Zero runs cost a token, not their length.
+    EXPECT_LT(ckpt::packImage(long_runs).size(), 32u);
+    EXPECT_LE(ckpt::packImage(dense).size(), dense.size() + 8);
+}
+
+TEST(CheckpointPack, RoundTripsRandomRunsAndRealImages)
+{
+    std::mt19937_64 rng(0xBAC4);
+    for (int it = 0; it < 200; ++it) {
+        std::vector<std::uint8_t> raw;
+        const std::size_t runs = rng() % 40;
+        for (std::size_t r = 0; r < runs; ++r) {
+            const std::size_t len = rng() % 24;
+            const bool zero = rng() % 2 == 0;
+            for (std::size_t i = 0; i < len; ++i)
+                raw.push_back(zero ? 0 : static_cast<std::uint8_t>(rng()));
+        }
+        EXPECT_EQ(ckpt::unpackImage(ckpt::packImage(raw)), raw);
+    }
+    const auto &img = phasedChipImage();
+    const std::vector<std::uint8_t> packed = ckpt::packImage(img);
+    EXPECT_EQ(ckpt::unpackImage(packed), img);
+    EXPECT_LT(packed.size(), img.size() / 2);
+}
+
+TEST(CheckpointPack, MalformedStreamsThrow)
+{
+    const std::vector<std::uint8_t> good =
+        ckpt::packImage({1, 2, 0, 0, 0, 0, 3});
+    // Every strict prefix is missing a varint or literal bytes.
+    for (std::size_t n = 0; n < good.size(); ++n) {
+        const std::vector<std::uint8_t> cut(good.begin(),
+                                            good.begin() + n);
+        EXPECT_THROW(ckpt::unpackImage(cut), ckpt::CheckpointError) << n;
+    }
+    auto longer = good;
+    longer[0] = 6; // tokens add up to 7 bytes
+    EXPECT_THROW(ckpt::unpackImage(longer), ckpt::CheckpointError);
+    auto shorter = good;
+    shorter[0] = 8;
+    EXPECT_THROW(ckpt::unpackImage(shorter), ckpt::CheckpointError);
+    // An 11-byte varint overflows 64 bits; a zero run past a huge
+    // recorded length is refused before anything is allocated.
+    EXPECT_THROW(ckpt::unpackImage(std::vector<std::uint8_t>(11, 0xFF)),
+                 ckpt::CheckpointError);
+    const std::vector<std::uint8_t> bomb = {
+        0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, // 2^49 bytes
+        0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, // zero run 2^50
+        0x00};
+    EXPECT_THROW(ckpt::unpackImage(bomb), ckpt::CheckpointError);
+}
+
+TEST(CheckpointCrc, CheckValue)
+{
+    const char *s = "123456789";
+    EXPECT_EQ(ckpt::crc32(reinterpret_cast<const std::uint8_t *>(s), 9),
+              0xCBF43926u);
+    EXPECT_EQ(ckpt::crc32(nullptr, 0), 0u);
+}
+
+TEST(CheckpointCrc, MatchesBytewiseReferenceAtRandomLengthsAndOffsets)
+{
+    const auto reference = [](const std::uint8_t *p, std::size_t n) {
+        std::uint32_t c = 0xFFFFFFFFu;
+        for (std::size_t i = 0; i < n; ++i) {
+            c ^= p[i];
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        }
+        return c ^ 0xFFFFFFFFu;
+    };
+    std::mt19937_64 rng(0xC3C);
+    std::vector<std::uint8_t> buf(4096 + 16);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng());
+    for (int it = 0; it < 300; ++it) {
+        const std::size_t len = it < 17 ? static_cast<std::size_t>(it)
+                                        : rng() % 4097;
+        const std::size_t off = rng() % 16; // misaligned starts
+        EXPECT_EQ(ckpt::crc32(buf.data() + off, len),
+                  reference(buf.data() + off, len))
+            << "len " << len << " off " << off;
+    }
+}
+
 TEST(CheckpointSparseMalformed, CacheIndexOutOfOrderThrows)
 {
     auto img = smallImage();

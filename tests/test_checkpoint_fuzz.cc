@@ -16,6 +16,10 @@
  *    address); the simulator reports that as its own diagnostic,
  *    std::logic_error, and nothing else may escape the window.
  *
+ * The profiler keeps its images zero-run packed in memory
+ * (ckpt::packImage); mutations of a packed stream must likewise either
+ * throw CheckpointError from unpackImage or unpack to some image.
+ *
  * PITON_FUZZ_ITERS overrides the mutation count per image (CI runs a
  * reduced count under the sanitizers).
  */
@@ -267,6 +271,47 @@ TEST(CheckpointImageFuzz, GovernedImageMutationsFailCleanly)
 TEST(CheckpointImageFuzz, ProfiledImageMutationsFailCleanly)
 {
     fuzzImage(/*governed=*/false, 0xC4EC'0002);
+}
+
+TEST(CheckpointImageFuzz, PackedStreamMutationsThrowOnlyCheckpointError)
+{
+    const std::vector<std::uint8_t> packed =
+        ckpt::packImage(baseImage(/*governed=*/false));
+    ASSERT_EQ(ckpt::unpackImage(packed), baseImage(false));
+
+    std::mt19937_64 rng(0xC4EC'0003);
+    const int iters = fuzzIters(400) * 4;
+    std::size_t rejected = 0;
+    for (int iter = 0; iter < iters; ++iter) {
+        auto bad = packed;
+        // The header and the first tokens are where lengths live, so
+        // half the mutations land in the first 64 bytes.
+        const std::size_t span =
+            iter % 2 == 0 ? std::min<std::size_t>(64, bad.size())
+                          : bad.size();
+        const std::size_t at = rng() % span;
+        switch (rng() % 5) {
+          case 0: bad[at] ^= static_cast<std::uint8_t>(1u << (rng() % 8)); break;
+          case 1: bad[at] = static_cast<std::uint8_t>(rng()); break;
+          case 2: bad.resize(at); break;
+          case 3:
+            bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(at),
+                       static_cast<std::uint8_t>(rng()));
+            break;
+          default:
+            bad.erase(bad.begin() + static_cast<std::ptrdiff_t>(at));
+            break;
+        }
+        try {
+            (void)ckpt::unpackImage(bad);
+        } catch (const ckpt::CheckpointError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "unpack threw " << e.what() << " (iteration "
+                          << iter << ")";
+        }
+    }
+    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace

@@ -27,6 +27,15 @@ using namespace piton;
 
 constexpr Cycle kMaxCycles = 400'000'000ULL;
 
+std::vector<sampling::SparseFeature>
+sparsePoints(const std::vector<std::vector<double>> &dense)
+{
+    std::vector<sampling::SparseFeature> pts;
+    for (const auto &p : dense)
+        pts.push_back(sampling::SparseFeature::fromDense(p));
+    return pts;
+}
+
 sim::SystemOptions
 samplingOptions()
 {
@@ -48,16 +57,21 @@ loadPhased(sim::System &sys, const isa::Program &kernel)
 
 TEST(NormalizeBbv, L1NormalizesAndKeepsZeroVectorsZero)
 {
-    const std::vector<double> f =
-        sampling::normalizeBbv({2, 0, 6, 0});
+    const sampling::SparseFeature sf =
+        sampling::normalizeBbv(sampling::SparseBbv::fromDense({2, 0, 6, 0}));
+    EXPECT_EQ(sf.index, (std::vector<std::uint32_t>{0, 2}));
+    const std::vector<double> f = sf.toDense();
     ASSERT_EQ(f.size(), 4u);
     EXPECT_DOUBLE_EQ(f[0], 0.25);
     EXPECT_DOUBLE_EQ(f[1], 0.0);
     EXPECT_DOUBLE_EQ(f[2], 0.75);
     EXPECT_DOUBLE_EQ(f[3], 0.0);
 
-    const std::vector<double> z = sampling::normalizeBbv({0, 0, 0});
-    for (const double v : z)
+    const sampling::SparseFeature sz =
+        sampling::normalizeBbv(sampling::SparseBbv::fromDense({0, 0, 0}));
+    EXPECT_EQ(sz.dims, 3u);
+    EXPECT_TRUE(sz.index.empty());
+    for (const double v : sz.toDense())
         EXPECT_EQ(v, 0.0);
 }
 
@@ -77,7 +91,7 @@ TEST(KmeansCluster, SeparatesObviousBlobsAndPicksMembers)
     sampling::ClusterOptions copts;
     copts.maxClusters = 2;
     const sampling::ClusterResult r =
-        sampling::kmeansCluster(pts, w, copts);
+        sampling::kmeansCluster(sparsePoints(pts), w, copts);
     ASSERT_EQ(r.clusters, 2u);
     // Same blob -> same cluster; different blobs -> different clusters.
     for (std::size_t i = 1; i < 5; ++i)
@@ -105,9 +119,9 @@ TEST(KmeansCluster, IsDeterministicAndClampsK)
     sampling::ClusterOptions copts;
     copts.maxClusters = 16; // > point count: k must clamp to 7
     const sampling::ClusterResult a =
-        sampling::kmeansCluster(pts, w, copts);
+        sampling::kmeansCluster(sparsePoints(pts), w, copts);
     const sampling::ClusterResult b =
-        sampling::kmeansCluster(pts, w, copts);
+        sampling::kmeansCluster(sparsePoints(pts), w, copts);
     EXPECT_EQ(a.clusters, 7u);
     EXPECT_EQ(a.assignment, b.assignment);
     EXPECT_EQ(a.representative, b.representative);

@@ -87,8 +87,11 @@ fingerprint(const std::vector<sampling::IntervalRecord> &intervals)
         f.words.push_back(bitsOf(rec.idleJ));
         f.words.push_back(rec.windows);
         f.words.push_back(rec.partial ? 1 : 0);
-        for (const std::uint64_t v : rec.bbv)
-            f.words.push_back(v);
+        f.words.push_back(rec.bbv.dims);
+        for (std::size_t k = 0; k < rec.bbv.index.size(); ++k) {
+            f.words.push_back(rec.bbv.index[k]);
+            f.words.push_back(rec.bbv.value[k]);
+        }
     }
     return f;
 }

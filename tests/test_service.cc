@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -537,6 +538,48 @@ TEST(ServiceScheduler, CachedResponseIsByteIdenticalToColdRun)
     EXPECT_EQ(m.completed, 2u);
     EXPECT_EQ(m.cacheHits, 1u);
     EXPECT_GT(m.hitRate, 0.0);
+}
+
+TEST(ServiceScheduler, CacheHitCompletesWhileTheOnlyWorkerIsBlocked)
+{
+    ExperimentScheduler sched(tinySchedulerConfig(1));
+    const ExperimentRequest req = smallPowerRequest();
+    const ServeResult cold = sched.serve(req);
+    ASSERT_EQ(cold.status, Status::Ok);
+
+    // A miss whose completion callback holds the only worker until the
+    // gate opens.
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    ExperimentRequest miss = smallPowerRequest();
+    miss.seed = 0xb10c;
+    ExperimentScheduler::Ticket blocker =
+        sched.submit(miss, [opened](const ServeResult &) { opened.wait(); });
+
+    bool done_fired = false;
+    const ExperimentScheduler::Ticket hit =
+        sched.submit(req, [&done_fired](const ServeResult &r) {
+            done_fired = r.cacheHit;
+        });
+    ASSERT_EQ(hit.result.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_TRUE(done_fired);
+    const ServeResult warm = hit.result.get();
+    EXPECT_EQ(warm.status, Status::Ok);
+    EXPECT_TRUE(warm.cacheHit);
+    EXPECT_EQ(*warm.body, *cold.body);
+
+    gate.set_value();
+    EXPECT_EQ(blocker.result.get().status, Status::Ok);
+    sched.drain();
+    const SchedulerMetrics m = sched.metrics();
+    EXPECT_EQ(m.completed, 3u);
+    EXPECT_EQ(m.cacheHits, 1u);
+    EXPECT_EQ(m.queueDepth, 0u);
+    // Each lookup counts once: the inline hit, and the two misses in
+    // the pool's acquire().
+    EXPECT_EQ(m.resultCache.hits, 1u);
+    EXPECT_EQ(m.resultCache.misses, 2u);
 }
 
 TEST(ServiceScheduler, MalformedRequestFailsFast)

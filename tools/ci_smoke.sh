@@ -127,7 +127,8 @@ EOF
 # End-to-end accuracy gate: --verify hard-fails unless the stitched EPI
 # lands within the committed tolerance of the exact full-run value, the
 # 95% CI covers it, at most 10% of the instructions were re-simulated,
-# and every replayed slice bitwise-reproduced its profiled interval.
+# every replayed slice bitwise-reproduced its profiled interval, and
+# the profile's packed images take at most half their unpacked bytes.
 # 24 reps keeps the sanitized run short; the speedup headline (>10x) is
 # measured on the default 96-rep Release configuration (EXPERIMENTS.md).
 step "sampling: stitched-estimate accuracy gate (--verify)"
