@@ -9,7 +9,6 @@
 #ifndef PITON_BENCH_BENCH_UTIL_HH
 #define PITON_BENCH_BENCH_UTIL_HH
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +16,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/numeric_flag.hh"
 
 namespace piton::bench
 {
@@ -106,13 +107,11 @@ numericValue(const char *prog, const char *flag, const char *value)
 {
     if (value == nullptr)
         usageError(prog, "missing value for", flag);
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < 0 || errno == ERANGE
-        || v > 0x7fffffffL) // fits the uint32_t/unsigned fields
+    // Bounded to fit the uint32_t/unsigned fields.
+    const auto v = parseUnsigned(value, 0x7fffffff);
+    if (!v)
         usageError(prog, "bad numeric value for", flag);
-    return v;
+    return static_cast<long>(*v);
 }
 
 } // namespace detail

@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <cstdio>
 
+#include "common/little_endian.hh"
+
 namespace piton::ckpt
 {
 
@@ -32,27 +34,6 @@ makeCrcTables()
     return t;
 }
 
-/** Little-endian scalar append/extract.  The simulator only targets
- *  little-endian hosts, but going through explicit byte shifts keeps
- *  the on-disk format well-defined either way. */
-template <typename T>
-void
-putScalar(std::vector<std::uint8_t> &out, T v)
-{
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-template <typename T>
-T
-getScalar(const std::uint8_t *p)
-{
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        v |= static_cast<T>(p[i]) << (8 * i);
-    return v;
-}
-
 /** Shortest zero run worth its own pack token: splitting a literal
  *  around a run costs two varint bytes. */
 constexpr std::size_t kMinZeroRun = 3;
@@ -63,7 +44,7 @@ std::size_t
 zeroRunEnd(const std::uint8_t *p, std::size_t n, std::size_t i)
 {
     for (; i + 8 <= n; i += 8) {
-        const auto w = getScalar<std::uint64_t>(p + i);
+        const auto w = loadLe<std::uint64_t>(p + i);
         if (w != 0)
             return i + static_cast<std::size_t>(std::countr_zero(w)) / 8;
     }
@@ -81,7 +62,7 @@ nextZeroByte(const std::uint8_t *p, std::size_t n, std::size_t i)
     constexpr std::uint64_t kLow = 0x0101010101010101ull;
     constexpr std::uint64_t kHigh = 0x8080808080808080ull;
     for (; i + 8 <= n; i += 8) {
-        const auto w = getScalar<std::uint64_t>(p + i);
+        const auto w = loadLe<std::uint64_t>(p + i);
         const std::uint64_t z = (w - kLow) & ~w & kHigh;
         if (z != 0)
             return i + static_cast<std::size_t>(std::countr_zero(z)) / 8;
@@ -122,8 +103,8 @@ crc32(const std::uint8_t *data, std::size_t len)
     static const CrcTables t = makeCrcTables();
     std::uint32_t c = 0xFFFFFFFFu;
     for (; len >= 8; data += 8, len -= 8) {
-        const std::uint32_t lo = c ^ getScalar<std::uint32_t>(data);
-        const std::uint32_t hi = getScalar<std::uint32_t>(data + 4);
+        const std::uint32_t lo = c ^ loadLe<std::uint32_t>(data);
+        const std::uint32_t hi = loadLe<std::uint32_t>(data + 4);
         c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu]
             ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24]
             ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu]
@@ -215,20 +196,20 @@ Archive::forLoad(std::vector<std::uint8_t> bytes)
     check(std::memcmp(b.data(), kMagic, sizeof(kMagic)) == 0,
           "not a checkpoint file (bad magic)");
     std::size_t pos = sizeof(kMagic);
-    const std::uint32_t version = getScalar<std::uint32_t>(&b[pos]);
+    const std::uint32_t version = loadLe<std::uint32_t>(&b[pos]);
     pos += sizeof(std::uint32_t);
     if (version != kFormatVersion)
         throw CheckpointError(
             "checkpoint format version " + std::to_string(version)
             + " does not match this build's version "
             + std::to_string(kFormatVersion));
-    const std::uint32_t nsections = getScalar<std::uint32_t>(&b[pos]);
+    const std::uint32_t nsections = loadLe<std::uint32_t>(&b[pos]);
     pos += sizeof(std::uint32_t);
 
     for (std::uint32_t s = 0; s < nsections; ++s) {
         check(pos + sizeof(std::uint32_t) <= b.size(),
               "checkpoint truncated: section name length");
-        const std::uint32_t name_len = getScalar<std::uint32_t>(&b[pos]);
+        const std::uint32_t name_len = loadLe<std::uint32_t>(&b[pos]);
         pos += sizeof(std::uint32_t);
         check(name_len <= 256 && pos + name_len <= b.size(),
               "checkpoint truncated: section name");
@@ -238,9 +219,9 @@ Archive::forLoad(std::vector<std::uint8_t> bytes)
         check(pos + sizeof(std::uint64_t) + sizeof(std::uint32_t)
                   <= b.size(),
               "checkpoint truncated: section header");
-        const std::uint64_t payload_len = getScalar<std::uint64_t>(&b[pos]);
+        const std::uint64_t payload_len = loadLe<std::uint64_t>(&b[pos]);
         pos += sizeof(std::uint64_t);
-        const std::uint32_t want_crc = getScalar<std::uint32_t>(&b[pos]);
+        const std::uint32_t want_crc = loadLe<std::uint32_t>(&b[pos]);
         pos += sizeof(std::uint32_t);
         check(payload_len <= b.size() - pos,
               "checkpoint truncated: section payload");
@@ -283,10 +264,10 @@ Archive::endSection()
     check(inSection_, "endSection without beginSection");
     inSection_ = false;
     if (saving()) {
-        putScalar(bytes_, static_cast<std::uint32_t>(curName_.size()));
+        putLe(bytes_, static_cast<std::uint32_t>(curName_.size()));
         bytes_.insert(bytes_.end(), curName_.begin(), curName_.end());
-        putScalar(bytes_, static_cast<std::uint64_t>(cur_.size()));
-        putScalar(bytes_, crc32(cur_.data(), cur_.size()));
+        putLe(bytes_, static_cast<std::uint64_t>(cur_.size()));
+        putLe(bytes_, crc32(cur_.data(), cur_.size()));
         bytes_.insert(bytes_.end(), cur_.begin(), cur_.end());
         ++sectionCount_;
         cur_.clear();
@@ -319,8 +300,8 @@ Archive::finish()
     // into the freshly reserved buffer (-Wstringop-overflow).
     for (const char c : kMagic)
         out.push_back(static_cast<std::uint8_t>(c));
-    putScalar(out, kFormatVersion);
-    putScalar(out, sectionCount_);
+    putLe(out, kFormatVersion);
+    putLe(out, sectionCount_);
     out.insert(out.end(), bytes_.begin(), bytes_.end());
     return out;
 }
@@ -353,78 +334,41 @@ Archive::io(bool &v)
     v = raw != 0;
 }
 
+template <typename T>
+    requires(std::integral<T> && !std::same_as<T, bool>)
 void
-Archive::io(std::uint8_t &v)
+Archive::io(T &v)
 {
-    if (saving())
-        put(&v, 1);
-    else
-        get(&v, 1);
-}
-
-void
-Archive::io(std::uint16_t &v)
-{
-    std::uint8_t buf[sizeof(v)];
+    using U = std::make_unsigned_t<T>;
+    std::uint8_t buf[sizeof(T)];
     if (saving()) {
-        for (std::size_t i = 0; i < sizeof(v); ++i)
-            buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-        put(buf, sizeof(v));
+        storeLe(buf, static_cast<U>(v));
+        put(buf, sizeof(T));
     } else {
-        get(buf, sizeof(v));
-        v = getScalar<std::uint16_t>(buf);
+        get(buf, sizeof(T));
+        v = static_cast<T>(loadLe<U>(buf));
     }
 }
 
-void
-Archive::io(std::uint32_t &v)
-{
-    std::uint8_t buf[sizeof(v)];
-    if (saving()) {
-        for (std::size_t i = 0; i < sizeof(v); ++i)
-            buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-        put(buf, sizeof(v));
-    } else {
-        get(buf, sizeof(v));
-        v = getScalar<std::uint32_t>(buf);
-    }
-}
-
-void
-Archive::io(std::uint64_t &v)
-{
-    std::uint8_t buf[sizeof(v)];
-    if (saving()) {
-        for (std::size_t i = 0; i < sizeof(v); ++i)
-            buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
-        put(buf, sizeof(v));
-    } else {
-        get(buf, sizeof(v));
-        v = getScalar<std::uint64_t>(buf);
-    }
-}
-
-void
-Archive::io(std::int64_t &v)
-{
-    auto raw = static_cast<std::uint64_t>(v);
-    io(raw);
-    v = static_cast<std::int64_t>(raw);
-}
+template void Archive::io(std::uint8_t &);
+template void Archive::io(std::uint16_t &);
+template void Archive::io(std::uint32_t &);
+template void Archive::io(std::uint64_t &);
+template void Archive::io(std::int64_t &);
 
 void
 Archive::io(double &v)
 {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
+    auto bits = std::bit_cast<std::uint64_t>(v);
     io(bits);
-    std::memcpy(&v, &bits, sizeof(bits));
+    v = std::bit_cast<double>(bits);
 }
 
+template <typename C>
 void
-Archive::io(std::string &v)
+Archive::ioRange(C &v)
 {
-    std::uint64_t n = ioSize(v.size());
+    const std::uint64_t n = ioSize(v.size());
     if (loading())
         v.resize(static_cast<std::size_t>(n));
     if (saving())
@@ -433,17 +377,8 @@ Archive::io(std::string &v)
         get(v.data(), v.size());
 }
 
-void
-Archive::ioBytes(std::vector<std::uint8_t> &v)
-{
-    std::uint64_t n = ioSize(v.size());
-    if (loading())
-        v.resize(static_cast<std::size_t>(n));
-    if (saving())
-        put(v.data(), v.size());
-    else if (n > 0)
-        get(v.data(), v.size());
-}
+template void Archive::ioRange(std::string &);
+template void Archive::ioRange(std::vector<std::uint8_t> &);
 
 std::uint64_t
 Archive::ioSize(std::uint64_t n, std::uint64_t min_elem_bytes)

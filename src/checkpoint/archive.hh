@@ -38,6 +38,7 @@
 #define PITON_CHECKPOINT_ARCHIVE_HH
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -137,17 +138,19 @@ class Archive
     // ---- symmetric field I/O ----------------------------------------
 
     void io(bool &v);
-    void io(std::uint8_t &v);
-    void io(std::uint16_t &v);
-    void io(std::uint32_t &v);
-    void io(std::uint64_t &v);
-    void io(std::int64_t &v);
+    /** Any other integer: sizeof(T) little-endian bytes (a signed one
+     *  as its two's-complement bits).  Out of line, instantiated in
+     *  archive.cc for the widths the hooks use: inlined into every
+     *  serialize hook, it made a System save about 20 % slower. */
+    template <typename T>
+        requires(std::integral<T> && !std::same_as<T, bool>)
+    void io(T &v);
     /** Raw IEEE-754 bit pattern (bit-exact round trip, incl. NaNs). */
     void io(double &v);
-    void io(std::string &v);
-    /** Byte vector: an ioSize length (1 byte per element), then the
-     *  payload in one copy. */
-    void ioBytes(std::vector<std::uint8_t> &v);
+    /** A string or byte vector: an ioSize length (1 byte per element),
+     *  then the payload in one copy. */
+    void io(std::string &v) { ioRange(v); }
+    void io(std::vector<std::uint8_t> &v) { ioRange(v); }
 
     /** Enum through its underlying integer with an exclusive bound. */
     template <typename E>
@@ -261,6 +264,8 @@ class Archive
 
     void put(const void *p, std::size_t n);
     void get(void *p, std::size_t n);
+    template <typename C>
+    void ioRange(C &v);
 
     struct SectionEntry
     {

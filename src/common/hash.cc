@@ -1,5 +1,7 @@
 #include "common/hash.hh"
 
+#include "common/little_endian.hh"
+
 namespace piton
 {
 
@@ -48,18 +50,16 @@ Hasher::update(const std::string &s)
 Hasher &
 Hasher::updateU32(std::uint32_t v)
 {
-    std::uint8_t b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    std::uint8_t b[sizeof(v)];
+    storeLe(b, v);
     return update(b, sizeof(b));
 }
 
 Hasher &
 Hasher::updateU64(std::uint64_t v)
 {
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    std::uint8_t b[sizeof(v)];
+    storeLe(b, v);
     return update(b, sizeof(b));
 }
 

@@ -20,7 +20,7 @@ ioPackedImage(ckpt::Archive &ar, std::vector<std::uint8_t> &packed)
     std::vector<std::uint8_t> raw;
     if (ar.saving() && !packed.empty())
         raw = ckpt::unpackImage(packed);
-    ar.ioBytes(raw);
+    ar.io(raw);
     if (ar.loading())
         packed = raw.empty() ? std::move(raw) : ckpt::packImage(raw);
 }

@@ -21,6 +21,16 @@ payloadCrc(const std::vector<std::uint8_t> &bytes)
     return ckpt::crc32(bytes.data(), bytes.size());
 }
 
+/** A disk entry: magic, payload CRC, then the payload as a blob. */
+template <typename Io, typename M, typename C, typename P>
+void
+diskEntryFields(Io &io, M &&magic, C &&crc, P &&payload)
+{
+    io.io(magic);
+    io.io(crc);
+    io.io(payload);
+}
+
 } // namespace
 
 ResultCache::ResultCache(CacheConfig cfg) : cfg_(std::move(cfg)) {}
@@ -216,9 +226,7 @@ ResultCache::diskStore(const Hash128 &key, const CachePayload &payload)
     if (path.empty())
         return;
     WireWriter w;
-    w.u32(kDiskMagic);
-    w.u32(payloadCrc(*payload));
-    w.blob(*payload);
+    diskEntryFields(w, kDiskMagic, payloadCrc(*payload), *payload);
     try {
         ckpt::writeFile(path, w.bytes());
     } catch (const std::exception &e) {
@@ -240,12 +248,14 @@ ResultCache::tryDiskLoad(const Hash128 &key)
         return nullptr; // absent (or unreadable): a plain miss
     }
     try {
+        std::uint32_t magic = 0;
+        std::uint32_t crc = 0;
+        std::vector<std::uint8_t> payload;
         WireReader r(file);
-        if (r.u32() != kDiskMagic)
-            throw ServiceError("bad disk-entry magic");
-        const std::uint32_t crc = r.u32();
-        std::vector<std::uint8_t> payload = r.blob();
+        diskEntryFields(r, magic, crc, payload);
         r.expectEnd();
+        if (magic != kDiskMagic)
+            throw ServiceError("bad disk-entry magic");
         if (payloadCrc(payload) != crc)
             throw ServiceError("disk-entry CRC mismatch");
         return std::make_shared<const std::vector<std::uint8_t>>(

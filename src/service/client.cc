@@ -2,17 +2,11 @@
 
 #include <utility>
 
-#include "checkpoint/archive.hh"
-
 namespace piton::service
 {
 
 namespace
 {
-
-/** Frame header: magic u32, version u16, type u16, requestId u64,
- *  payloadLen u32, payloadCrc u32. */
-constexpr std::size_t kFrameHeaderBytes = 24;
 
 ClientResult
 resultFromBody(bool served_from_cache, std::vector<std::uint8_t> body)
@@ -61,25 +55,18 @@ TcpClient::sendFrame(const Frame &frame)
 Frame
 TcpClient::recvFrame()
 {
-    std::uint8_t header[kFrameHeaderBytes];
-    if (!net::recvExact(sock_, header, sizeof(header)))
+    std::uint8_t raw[FrameHeader::kBytes];
+    if (!net::recvExact(sock_, raw, sizeof(raw)))
         throw ServiceError("server closed the connection");
-    WireReader r(header, sizeof(header));
-    if (r.u32() != kFrameMagic)
-        throw ServiceError("bad frame magic from server");
-    const std::uint16_t version = r.u16();
+    const FrameHeader h = parseFrameHeader(raw);
     Frame frame;
-    frame.type = static_cast<FrameType>(r.u16());
-    frame.requestId = r.u64();
-    const std::uint32_t len = r.u32();
-    const std::uint32_t crc = r.u32();
-    if (len > kMaxPayloadBytes)
-        throw ServiceError("oversized frame from server");
-    frame.payload.resize(len);
-    if (len > 0 && !net::recvExact(sock_, frame.payload.data(), len))
+    frame.type = h.type;
+    frame.requestId = h.requestId;
+    frame.payload.resize(h.payloadLen);
+    if (h.payloadLen > 0
+        && !net::recvExact(sock_, frame.payload.data(), h.payloadLen))
         throw ServiceError("server closed mid-frame");
-    if (ckpt::crc32(frame.payload.data(), frame.payload.size()) != crc)
-        throw ServiceError("frame CRC mismatch from server");
+    h.checkPayload(frame.payload);
     // A VersionError frame is decodable regardless of the version in
     // its header (frozen payload layout) — surface it typed so callers
     // know reconnecting won't help.
@@ -88,8 +75,8 @@ TcpClient::recvFrame()
         throw VersionMismatchError(info.serverVersion, kWireVersion,
                                    frame.requestId);
     }
-    if (version != kWireVersion)
-        throw VersionMismatchError(version, kWireVersion,
+    if (h.version != kWireVersion)
+        throw VersionMismatchError(h.version, kWireVersion,
                                    frame.requestId);
     return frame;
 }
@@ -113,13 +100,9 @@ std::uint64_t
 TcpClient::submit(const ExperimentRequest &req)
 {
     const std::uint64_t id = nextRequestId_++;
-    Frame frame;
-    frame.type = FrameType::Request;
-    frame.requestId = id;
     WireWriter w;
     req.encode(w);
-    frame.payload = w.take();
-    sendFrame(frame);
+    sendFrame({FrameType::Request, id, w.take()});
     return id;
 }
 
@@ -141,33 +124,28 @@ TcpClient::waitFor(std::uint64_t request_id)
 void
 TcpClient::cancel(std::uint64_t request_id)
 {
-    Frame frame;
-    frame.type = FrameType::Cancel;
-    frame.requestId = request_id;
-    sendFrame(frame);
+    sendFrame({FrameType::Cancel, request_id, {}});
+}
+
+Frame
+TcpClient::exchange(FrameType type, FrameType reply)
+{
+    const std::uint64_t id = nextRequestId_++;
+    sendFrame({type, id, {}});
+    return awaitFrame(reply, id);
 }
 
 void
 TcpClient::ping()
 {
-    const std::uint64_t id = nextRequestId_++;
-    Frame frame;
-    frame.type = FrameType::Ping;
-    frame.requestId = id;
-    sendFrame(frame);
-    awaitFrame(FrameType::Pong, id);
+    exchange(FrameType::Ping, FrameType::Pong);
 }
 
 WorkerStats
 TcpClient::workerStats()
 {
-    const std::uint64_t id = nextRequestId_++;
-    Frame frame;
-    frame.type = FrameType::StatsQuery;
-    frame.requestId = id;
-    sendFrame(frame);
-    const Frame reply = awaitFrame(FrameType::StatsReply, id);
-    return decodeWorkerStats(reply.payload);
+    return decodeWorkerStats(
+        exchange(FrameType::StatsQuery, FrameType::StatsReply).payload);
 }
 
 SchedulerMetrics
@@ -179,12 +157,7 @@ TcpClient::stats()
 void
 TcpClient::shutdownServer()
 {
-    const std::uint64_t id = nextRequestId_++;
-    Frame frame;
-    frame.type = FrameType::Shutdown;
-    frame.requestId = id;
-    sendFrame(frame);
-    awaitFrame(FrameType::ShutdownAck, id);
+    exchange(FrameType::Shutdown, FrameType::ShutdownAck);
 }
 
 } // namespace piton::service

@@ -120,6 +120,9 @@ class TcpClient : public Client
     /** Read frames until one of `type` with `request_id` arrives,
      *  stashing other Response frames for later waitFor() calls. */
     Frame awaitFrame(FrameType type, std::uint64_t request_id);
+    /** Send a payload-less `type` frame under a fresh id and await its
+     *  `reply`. */
+    Frame exchange(FrameType type, FrameType reply);
 
     net::Socket sock_;
     std::uint64_t nextRequestId_ = 1;

@@ -1,6 +1,7 @@
 #include "service/executor.hh"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "board/measurement.hh"
@@ -18,6 +19,23 @@ namespace piton::service
 
 namespace
 {
+
+/** The failure body of a request that was cancelled or ran past its
+ *  deadline, or nothing while it may go on.  `queued` marks the check
+ *  before execution starts. */
+std::optional<ExperimentResponse>
+stopped(const RunControl &ctl, Kind kind, bool queued = false)
+{
+    if (ctl.isCancelled())
+        return ExperimentResponse::failure(
+            Status::Cancelled, kind,
+            queued ? "cancelled before execution" : "cancelled");
+    if (ctl.deadlineExpired())
+        return ExperimentResponse::failure(
+            Status::DeadlineExpired, kind,
+            queued ? "deadline expired in queue" : "deadline expired");
+    return std::nullopt;
+}
 
 RailStatsWire
 toWire(const RunningStats &s)
@@ -212,12 +230,8 @@ runEnergy(const ExperimentRequest &req, const RunControl &ctl)
         fillEnergy(resp.energy, r);
         return resp;
     }
-    if (ctl.isCancelled())
-        return ExperimentResponse::failure(Status::Cancelled, req.kind,
-                                           "cancelled");
-    if (ctl.deadlineExpired())
-        return ExperimentResponse::failure(Status::DeadlineExpired,
-                                           req.kind, "deadline expired");
+    if (auto stop = stopped(ctl, req.kind))
+        return *stop;
     sampling::SampledOptions sopts;
     sopts.maxSlices = req.sampledSlices;
     const sampling::SampledEstimate est =
@@ -241,13 +255,8 @@ runVfCurve(const ExperimentRequest &req, const RunControl &ctl)
     ExperimentResponse resp;
     resp.kind = req.kind;
     for (const double v : req.voltages) {
-        if (ctl.isCancelled())
-            return ExperimentResponse::failure(Status::Cancelled,
-                                               req.kind, "cancelled");
-        if (ctl.deadlineExpired())
-            return ExperimentResponse::failure(Status::DeadlineExpired,
-                                               req.kind,
-                                               "deadline expired");
+        if (auto stop = stopped(ctl, req.kind))
+            return *stop;
         const core::VfPoint p = vf.measure(req.chipId, v);
         VfPointResult r;
         r.vddV = p.vddV;
@@ -266,22 +275,13 @@ runSweep(const ExperimentRequest &req, const RunControl &ctl,
 {
     const sim::SweepWarmStart ws =
         sweepWarmStart(req, prefix_cache, version_salt);
-    if (ctl.isCancelled())
-        return ExperimentResponse::failure(Status::Cancelled, req.kind,
-                                           "cancelled");
-    if (ctl.deadlineExpired())
-        return ExperimentResponse::failure(Status::DeadlineExpired,
-                                           req.kind, "deadline expired");
+    if (auto stop = stopped(ctl, req.kind))
+        return *stop;
     ExperimentResponse resp;
     resp.kind = req.kind;
     for (const SweepTail &tail : req.tails) {
-        if (ctl.isCancelled())
-            return ExperimentResponse::failure(Status::Cancelled,
-                                               req.kind, "cancelled");
-        if (ctl.deadlineExpired())
-            return ExperimentResponse::failure(Status::DeadlineExpired,
-                                               req.kind,
-                                               "deadline expired");
+        if (auto stop = stopped(ctl, req.kind))
+            return *stop;
         const std::unique_ptr<sim::System> sys = ws.fork();
         resp.points.push_back(runSweepTail(*sys, tail));
     }
@@ -294,13 +294,8 @@ ExperimentResponse
 runExperiment(const ExperimentRequest &canon, const RunControl &ctl,
               ResultCache *prefix_cache, std::uint32_t version_salt)
 {
-    if (ctl.isCancelled())
-        return ExperimentResponse::failure(Status::Cancelled, canon.kind,
-                                           "cancelled before execution");
-    if (ctl.deadlineExpired())
-        return ExperimentResponse::failure(Status::DeadlineExpired,
-                                           canon.kind,
-                                           "deadline expired in queue");
+    if (auto stop = stopped(ctl, canon.kind, /*queued=*/true))
+        return *stop;
     try {
         switch (canon.kind) {
         case Kind::MeasurePower:

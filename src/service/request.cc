@@ -47,6 +47,28 @@ clampRange(T v, T lo, T hi)
     return std::min(std::max(v, lo), hi);
 }
 
+/** The fields a warm-start prefix depends on (operating point,
+ *  simulation parameters, workload), in their place in the request's
+ *  field list; prefixKey hashes exactly these bytes. */
+template <typename Io, typename Self>
+void
+prefixFields(Io &io, Self &self)
+{
+    io.io(self.vddV);
+    io.io(self.vcsV);
+    io.io(self.vioV);
+    io.io(self.coreClockMhz);
+    ioAs<std::uint32_t>(io, self.chipId);
+    io.io(self.seed);
+    io.io(self.cyclesPerSample);
+    io.io(self.warmupCycles);
+    io.io(self.workload.bench);
+    io.io(self.workload.cores);
+    io.io(self.workload.threadsPerCore);
+    io.io(self.workload.iterations);
+    io.io(self.workload.totalElements);
+}
+
 } // namespace
 
 const char *
@@ -234,93 +256,41 @@ ExperimentRequest::canonicalize()
     }
 }
 
+template <typename Io, typename Self>
+void
+ExperimentRequest::fields(Io &io, Self &self)
+{
+    ioAs<std::uint16_t>(io, self.kind);
+    prefixFields(io, self);
+    io.io(self.samples);
+    io.io(self.maxCycles);
+    ioVector<std::uint32_t>(io, self.tails, kMaxTails, "too many sweep tails",
+                            [](auto &o, auto &t) {
+                                o.io(t.fanEffectiveness);
+                                o.io(t.windows);
+                            });
+    ioVector<std::uint32_t>(io, self.voltages, kMaxVoltages,
+                            "too many voltage points", ioField);
+    ioVector<std::uint16_t>(io, self.placement, kMaxPlacementTiles,
+                            "placement exceeds the tile count", ioField);
+    ioVector<std::uint16_t>(io, self.tileFreqSteps, kMaxPlacementTiles,
+                            "too many tile frequency steps", ioField);
+    io.io(self.sampledSlices);
+    io.io(self.sampledIntervalInsns);
+    io.io(self.deadlineMs);
+}
+
 void
 ExperimentRequest::encode(WireWriter &w) const
 {
-    w.u16(static_cast<std::uint16_t>(kind));
-    w.f64(vddV);
-    w.f64(vcsV);
-    w.f64(vioV);
-    w.f64(coreClockMhz);
-    w.u32(static_cast<std::uint32_t>(chipId));
-    w.u64(seed);
-    w.u64(cyclesPerSample);
-    w.u64(warmupCycles);
-    w.u16(workload.bench);
-    w.u32(workload.cores);
-    w.u32(workload.threadsPerCore);
-    w.u64(workload.iterations);
-    w.u64(workload.totalElements);
-    w.u32(samples);
-    w.u64(maxCycles);
-    w.u32(static_cast<std::uint32_t>(tails.size()));
-    for (const SweepTail &t : tails) {
-        w.f64(t.fanEffectiveness);
-        w.u32(t.windows);
-    }
-    w.u32(static_cast<std::uint32_t>(voltages.size()));
-    for (const double v : voltages)
-        w.f64(v);
-    w.u16(static_cast<std::uint16_t>(placement.size())); // wire v4
-    for (const std::uint16_t t : placement)
-        w.u16(t);
-    w.u16(static_cast<std::uint16_t>(tileFreqSteps.size()));
-    for (const std::uint16_t s : tileFreqSteps)
-        w.u16(s);
-    w.u32(sampledSlices);
-    w.u64(sampledIntervalInsns);
-    w.u32(deadlineMs);
+    fields(w, *this);
 }
 
 ExperimentRequest
 ExperimentRequest::decode(WireReader &r)
 {
     ExperimentRequest req;
-    req.kind = static_cast<Kind>(r.u16());
-    req.vddV = r.f64();
-    req.vcsV = r.f64();
-    req.vioV = r.f64();
-    req.coreClockMhz = r.f64();
-    req.chipId = static_cast<int>(r.u32());
-    req.seed = r.u64();
-    req.cyclesPerSample = r.u64();
-    req.warmupCycles = r.u64();
-    req.workload.bench = r.u16();
-    req.workload.cores = r.u32();
-    req.workload.threadsPerCore = r.u32();
-    req.workload.iterations = r.u64();
-    req.workload.totalElements = r.u64();
-    req.samples = r.u32();
-    req.maxCycles = r.u64();
-    const std::uint32_t n_tails = r.u32();
-    if (n_tails > kMaxTails)
-        throw ServiceError("too many sweep tails");
-    req.tails.resize(n_tails);
-    for (SweepTail &t : req.tails) {
-        t.fanEffectiveness = r.f64();
-        t.windows = r.u32();
-    }
-    const std::uint32_t n_volts = r.u32();
-    if (n_volts > kMaxVoltages)
-        throw ServiceError("too many voltage points");
-    req.voltages.resize(n_volts);
-    for (double &v : req.voltages)
-        v = r.f64();
-    const std::uint16_t n_place = r.u16(); // wire v4
-    if (n_place > kMaxPlacementTiles)
-        throw ServiceError("placement exceeds the tile count");
-    req.placement.resize(n_place);
-    for (std::uint16_t &t : req.placement)
-        t = r.u16();
-    const std::uint16_t n_steps = r.u16();
-    if (n_steps > kMaxPlacementTiles)
-        throw ServiceError("too many tile frequency steps");
-    req.tileFreqSteps.resize(n_steps);
-    for (std::uint16_t &s : req.tileFreqSteps)
-        s = r.u16();
-    req.sampledSlices = r.u32();
-    req.sampledIntervalInsns = r.u64();
-    req.deadlineMs = r.u32();
+    fields(r, req);
     return req;
 }
 
@@ -360,19 +330,7 @@ ExperimentRequest::prefixKey(std::uint32_t version_salt) const
     h.updateU32(ckpt::kFormatVersion);
     h.updateU32(version_salt);
     WireWriter w;
-    w.f64(canon.vddV);
-    w.f64(canon.vcsV);
-    w.f64(canon.vioV);
-    w.f64(canon.coreClockMhz);
-    w.u32(static_cast<std::uint32_t>(canon.chipId));
-    w.u64(canon.seed);
-    w.u64(canon.cyclesPerSample);
-    w.u64(canon.warmupCycles);
-    w.u16(canon.workload.bench);
-    w.u32(canon.workload.cores);
-    w.u32(canon.workload.threadsPerCore);
-    w.u64(canon.workload.iterations);
-    w.u64(canon.workload.totalElements);
+    prefixFields(w, canon);
     h.update(w.bytes());
     return h.digest();
 }

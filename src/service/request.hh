@@ -164,9 +164,12 @@ struct ExperimentRequest
     /** Normalize in place (see file comment). */
     void canonicalize();
 
-    /** Wire encoding (everything, including deadlineMs). */
+    /** Wire encoding (everything, including deadlineMs).  Both go
+     *  through the one field list `fields`. */
     void encode(WireWriter &w) const;
     static ExperimentRequest decode(WireReader &r);
+    template <typename Io, typename Self>
+    static void fields(Io &io, Self &self);
 
     /** Encoding of the canonicalized request minus QoS fields — the
      *  content-addressed identity of the experiment. */

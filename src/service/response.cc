@@ -6,29 +6,28 @@ namespace piton::service
 namespace
 {
 
+template <typename Io, typename S>
 void
-encodeRailStats(WireWriter &w, const RailStatsWire &s)
+railFields(Io &io, S &s)
 {
-    w.u64(s.count);
-    w.f64(s.meanW);
-    w.f64(s.stddevW);
-    w.f64(s.minW);
-    w.f64(s.maxW);
-}
-
-RailStatsWire
-decodeRailStats(WireReader &r)
-{
-    RailStatsWire s;
-    s.count = r.u64();
-    s.meanW = r.f64();
-    s.stddevW = r.f64();
-    s.minW = r.f64();
-    s.maxW = r.f64();
-    return s;
+    io.io(s.count);
+    io.io(s.meanW);
+    io.io(s.stddevW);
+    io.io(s.minW);
+    io.io(s.maxW);
 }
 
 constexpr std::size_t kMaxResultPoints = 4096;
+
+/** The Response frame payload (see response.hh): the fields are passed
+ *  apart so that encoding does not copy the body. */
+template <typename Io, typename B, typename V>
+void
+envelopeFields(Io &io, B &served_from_cache, V &body)
+{
+    ioAs<std::uint8_t>(io, served_from_cache);
+    io.io(body);
+}
 
 } // namespace
 
@@ -52,130 +51,76 @@ statusName(Status s)
     return "?";
 }
 
-std::vector<std::uint8_t>
-ExperimentResponse::encodeBody() const
+template <typename Io, typename Self>
+void
+ExperimentResponse::fields(Io &io, Self &self)
 {
-    WireWriter w;
-    w.u16(static_cast<std::uint16_t>(status));
-    w.u16(static_cast<std::uint16_t>(kind));
-    w.str(error);
-    switch (kind) {
+    ioEnum<std::uint16_t>(io, self.status, Status::StatusCount,
+                          "bad response status");
+    ioEnum<std::uint16_t>(io, self.kind, Kind::KindCount,
+                          "bad response kind");
+    io.io(self.error);
+    switch (self.kind) {
     case Kind::MeasurePower:
     case Kind::MeasureStatic:
-        encodeRailStats(w, measure.vdd);
-        encodeRailStats(w, measure.vcs);
-        encodeRailStats(w, measure.vio);
-        encodeRailStats(w, measure.onChip);
-        w.f64(measure.dieTempC);
+        railFields(io, self.measure.vdd);
+        railFields(io, self.measure.vcs);
+        railFields(io, self.measure.vio);
+        railFields(io, self.measure.onChip);
+        io.io(self.measure.dieTempC);
         break;
     case Kind::EnergyRun:
-    case Kind::PlacedRun:
-        w.u8(energy.completed);
-        w.u8(energy.stalled);
-        w.u64(energy.cycles);
-        w.f64(energy.seconds);
-        w.u64(energy.insts);
-        w.f64(energy.onChipEnergyJ);
-        w.f64(energy.activeEnergyJ);
-        w.f64(energy.idleEnergyJ);
-        w.u8(energy.sampled); // result format v2
-        w.f64(energy.energyCi95J);
-        w.f64(energy.epiCi95);
-        w.f64(energy.simulatedFrac);
+    case Kind::PlacedRun: {
+        auto &e = self.energy;
+        io.io(e.completed);
+        io.io(e.stalled);
+        io.io(e.cycles);
+        io.io(e.seconds);
+        io.io(e.insts);
+        io.io(e.onChipEnergyJ);
+        io.io(e.activeEnergyJ);
+        io.io(e.idleEnergyJ);
+        io.io(e.sampled); // result format v2
+        io.io(e.energyCi95J);
+        io.io(e.epiCi95);
+        io.io(e.simulatedFrac);
         break;
+    }
     case Kind::Sweep:
-        w.u32(static_cast<std::uint32_t>(points.size()));
-        for (const SweepPointResult &p : points) {
-            w.f64(p.fanEffectiveness);
-            encodeRailStats(w, p.onChip);
-            w.f64(p.finalDieC);
-        }
+        ioVector<std::uint32_t>(io, self.points, kMaxResultPoints,
+                                "too many sweep points in response",
+                                [](auto &o, auto &p) {
+                                    o.io(p.fanEffectiveness);
+                                    railFields(o, p.onChip);
+                                    o.io(p.finalDieC);
+                                });
         break;
     case Kind::VfCurve:
-        w.u32(static_cast<std::uint32_t>(vfPoints.size()));
-        for (const VfPointResult &p : vfPoints) {
-            w.f64(p.vddV);
-            w.f64(p.fmaxMhz);
-            w.f64(p.nextStepMhz);
-            w.u8(p.thermallyLimited);
-            w.f64(p.dieTempC);
-        }
+        ioVector<std::uint32_t>(io, self.vfPoints, kMaxResultPoints,
+                                "too many V-f points in response",
+                                [](auto &o, auto &p) {
+                                    o.io(p.vddV);
+                                    o.io(p.fmaxMhz);
+                                    o.io(p.nextStepMhz);
+                                    o.io(p.thermallyLimited);
+                                    o.io(p.dieTempC);
+                                });
         break;
     case Kind::KindCount:
         break;
     }
-    return w.take();
+}
+
+std::vector<std::uint8_t>
+ExperimentResponse::encodeBody() const
+{
+    return encodeFields(*this);
 }
 
 ExperimentResponse
 ExperimentResponse::decodeBody(const std::vector<std::uint8_t> &b)
 {
-    WireReader r(b);
-    ExperimentResponse resp;
-    const std::uint16_t raw_status = r.u16();
-    if (raw_status >= static_cast<std::uint16_t>(Status::StatusCount))
-        throw ServiceError("bad response status");
-    resp.status = static_cast<Status>(raw_status);
-    const std::uint16_t raw_kind = r.u16();
-    if (raw_kind >= static_cast<std::uint16_t>(Kind::KindCount))
-        throw ServiceError("bad response kind");
-    resp.kind = static_cast<Kind>(raw_kind);
-    resp.error = r.str();
-    switch (resp.kind) {
-    case Kind::MeasurePower:
-    case Kind::MeasureStatic:
-        resp.measure.vdd = decodeRailStats(r);
-        resp.measure.vcs = decodeRailStats(r);
-        resp.measure.vio = decodeRailStats(r);
-        resp.measure.onChip = decodeRailStats(r);
-        resp.measure.dieTempC = r.f64();
-        break;
-    case Kind::EnergyRun:
-    case Kind::PlacedRun:
-        resp.energy.completed = r.u8();
-        resp.energy.stalled = r.u8();
-        resp.energy.cycles = r.u64();
-        resp.energy.seconds = r.f64();
-        resp.energy.insts = r.u64();
-        resp.energy.onChipEnergyJ = r.f64();
-        resp.energy.activeEnergyJ = r.f64();
-        resp.energy.idleEnergyJ = r.f64();
-        resp.energy.sampled = r.u8(); // result format v2
-        resp.energy.energyCi95J = r.f64();
-        resp.energy.epiCi95 = r.f64();
-        resp.energy.simulatedFrac = r.f64();
-        break;
-    case Kind::Sweep: {
-        const std::uint32_t n = r.u32();
-        if (n > kMaxResultPoints)
-            throw ServiceError("too many sweep points in response");
-        resp.points.resize(n);
-        for (SweepPointResult &p : resp.points) {
-            p.fanEffectiveness = r.f64();
-            p.onChip = decodeRailStats(r);
-            p.finalDieC = r.f64();
-        }
-        break;
-    }
-    case Kind::VfCurve: {
-        const std::uint32_t n = r.u32();
-        if (n > kMaxResultPoints)
-            throw ServiceError("too many V-f points in response");
-        resp.vfPoints.resize(n);
-        for (VfPointResult &p : resp.vfPoints) {
-            p.vddV = r.f64();
-            p.fmaxMhz = r.f64();
-            p.nextStepMhz = r.f64();
-            p.thermallyLimited = r.u8();
-            p.dieTempC = r.f64();
-        }
-        break;
-    }
-    case Kind::KindCount:
-        break;
-    }
-    r.expectEnd();
-    return resp;
+    return decodeFields<ExperimentResponse>(b);
 }
 
 ExperimentResponse
@@ -193,8 +138,7 @@ encodeResponseEnvelope(bool served_from_cache,
                        const std::vector<std::uint8_t> &body)
 {
     WireWriter w;
-    w.u8(served_from_cache ? 1 : 0);
-    w.blob(body);
+    envelopeFields(w, served_from_cache, body);
     return w.take();
 }
 
@@ -203,8 +147,7 @@ decodeResponseEnvelope(const std::vector<std::uint8_t> &payload)
 {
     WireReader r(payload);
     ResponseEnvelope env;
-    env.servedFromCache = r.u8() != 0;
-    env.body = r.blob();
+    envelopeFields(r, env.servedFromCache, env.body);
     r.expectEnd();
     return env;
 }

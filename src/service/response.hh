@@ -123,9 +123,12 @@ struct ExperimentResponse
     std::vector<SweepPointResult> points; ///< Sweep
     std::vector<VfPointResult> vfPoints;  ///< VfCurve
 
-    /** Encode/decode the response *body* (see file comment). */
+    /** Encode/decode the response *body* (see file comment), both
+     *  through the one field list `fields`. */
     std::vector<std::uint8_t> encodeBody() const;
     static ExperimentResponse decodeBody(const std::vector<std::uint8_t> &b);
+    template <typename Io, typename Self>
+    static void fields(Io &io, Self &self);
 
     /** Build an error-status response (not cacheable). */
     static ExperimentResponse failure(Status status, Kind kind,

@@ -48,99 +48,76 @@ percentile(std::vector<double> sorted, double p)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
+template <typename Io, typename S>
 void
-encodeCacheStats(WireWriter &w, const CacheStats &s)
+cacheStatsFields(Io &io, S &s)
 {
-    w.u64(s.hits);
-    w.u64(s.misses);
-    w.u64(s.coalesced);
-    w.u64(s.evictions);
-    w.u64(s.corruptRejected);
-    w.u64(s.diskHits);
-    w.u64(s.entries);
-    w.u64(s.bytes);
-}
-
-CacheStats
-decodeCacheStats(WireReader &r)
-{
-    CacheStats s;
-    s.hits = r.u64();
-    s.misses = r.u64();
-    s.coalesced = r.u64();
-    s.evictions = r.u64();
-    s.corruptRejected = r.u64();
-    s.diskHits = r.u64();
-    s.entries = static_cast<std::size_t>(r.u64());
-    s.bytes = static_cast<std::size_t>(r.u64());
-    return s;
+    io.io(s.hits);
+    io.io(s.misses);
+    io.io(s.coalesced);
+    io.io(s.evictions);
+    io.io(s.corruptRejected);
+    io.io(s.diskHits);
+    ioAs<std::uint64_t>(io, s.entries);
+    ioAs<std::uint64_t>(io, s.bytes);
 }
 
 } // namespace
 
+template <typename Io, typename Self>
+void
+SchedulerMetrics::fields(Io &io, Self &self)
+{
+    io.io(self.submitted);
+    io.io(self.completed);
+    io.io(self.shed);
+    io.io(self.errors);
+    io.io(self.cancelled);
+    io.io(self.deadlineExpired);
+    io.io(self.cacheHits);
+    ioAs<std::uint64_t>(io, self.queueDepth);
+    io.io(self.hitRate);
+    io.io(self.latencyP50Ms);
+    io.io(self.latencyP99Ms);
+    cacheStatsFields(io, self.resultCache);
+    cacheStatsFields(io, self.prefixCache);
+}
+
 std::vector<std::uint8_t>
 encodeMetrics(const SchedulerMetrics &m)
 {
-    WireWriter w;
-    w.u64(m.submitted);
-    w.u64(m.completed);
-    w.u64(m.shed);
-    w.u64(m.errors);
-    w.u64(m.cancelled);
-    w.u64(m.deadlineExpired);
-    w.u64(m.cacheHits);
-    w.u64(m.queueDepth);
-    w.f64(m.hitRate);
-    w.f64(m.latencyP50Ms);
-    w.f64(m.latencyP99Ms);
-    encodeCacheStats(w, m.resultCache);
-    encodeCacheStats(w, m.prefixCache);
-    return w.take();
+    return encodeFields(m);
 }
 
 SchedulerMetrics
 decodeMetrics(const std::vector<std::uint8_t> &payload)
 {
-    WireReader r(payload);
-    SchedulerMetrics m;
-    m.submitted = r.u64();
-    m.completed = r.u64();
-    m.shed = r.u64();
-    m.errors = r.u64();
-    m.cancelled = r.u64();
-    m.deadlineExpired = r.u64();
-    m.cacheHits = r.u64();
-    m.queueDepth = static_cast<std::size_t>(r.u64());
-    m.hitRate = r.f64();
-    m.latencyP50Ms = r.f64();
-    m.latencyP99Ms = r.f64();
-    m.resultCache = decodeCacheStats(r);
-    m.prefixCache = decodeCacheStats(r);
-    r.expectEnd();
-    return m;
+    return decodeFields<SchedulerMetrics>(payload);
+}
+
+template <typename Io, typename Self>
+void
+WorkerStats::fields(Io &io, Self &self)
+{
+    io.io(self.workerId);
+    io.io(self.threads);
+    // The metrics travel as a blob of their own layout.
+    if constexpr (Io::kWriting)
+        io.io(encodeMetrics(self.metrics));
+    else
+        self.metrics = decodeMetrics(io.blob());
 }
 
 std::vector<std::uint8_t>
 encodeWorkerStats(const WorkerStats &s)
 {
-    WireWriter w;
-    w.str(s.workerId);
-    w.u32(s.threads);
-    const std::vector<std::uint8_t> metrics = encodeMetrics(s.metrics);
-    w.blob(metrics);
-    return w.take();
+    return encodeFields(s);
 }
 
 WorkerStats
 decodeWorkerStats(const std::vector<std::uint8_t> &payload)
 {
-    WireReader r(payload);
-    WorkerStats s;
-    s.workerId = r.str();
-    s.threads = r.u32();
-    s.metrics = decodeMetrics(r.blob());
-    r.expectEnd();
-    return s;
+    return decodeFields<WorkerStats>(payload);
 }
 
 ExperimentScheduler::ExperimentScheduler(SchedulerConfig cfg)

@@ -99,6 +99,9 @@ struct SchedulerMetrics
     double latencyP99Ms = 0.0;
     CacheStats resultCache;
     CacheStats prefixCache;
+
+    template <typename Io, typename Self>
+    static void fields(Io &io, Self &self);
 };
 
 /** StatsReply payload codec (the wire form of metrics()). */
@@ -113,6 +116,9 @@ struct WorkerStats
     std::string workerId;
     std::uint32_t threads = 0;
     SchedulerMetrics metrics;
+
+    template <typename Io, typename Self>
+    static void fields(Io &io, Self &self);
 };
 
 std::vector<std::uint8_t> encodeWorkerStats(const WorkerStats &s);

@@ -210,15 +210,10 @@ ExperimentServer::handleReadable(Connection &conn)
                    static_cast<unsigned long long>(conn.id),
                    static_cast<unsigned>(e.got()),
                    static_cast<unsigned>(e.want()));
-        VersionInfo info;
-        info.serverVersion = kWireVersion;
-        info.clientVersion = e.got();
-        info.message = e.what();
-        Frame reply;
-        reply.type = FrameType::VersionError;
-        reply.requestId = e.requestId();
-        reply.payload = encodeVersionError(info);
-        conn.outQueue.push_back(encodeFrame(reply, e.got()));
+        conn.outQueue.push_back(encodeFrame(
+            {FrameType::VersionError, e.requestId(),
+             encodeVersionError({kWireVersion, e.got(), e.what()})},
+            e.got()));
         writePending(conn);
         return false;
     } catch (const ServiceError &e) {
@@ -240,28 +235,17 @@ ExperimentServer::handleFrame(Connection &conn, Frame frame)
             req = ExperimentRequest::decode(r);
             r.expectEnd();
         } catch (const std::exception &e) {
-            ServeResult bad;
-            bad.status = Status::Error;
-            bad.body = std::make_shared<const std::vector<std::uint8_t>>(
-                ExperimentResponse::failure(Status::Error,
-                                            Kind::MeasurePower, e.what())
-                    .encodeBody());
-            Frame resp;
-            resp.type = FrameType::Response;
-            resp.requestId = frame.requestId;
-            resp.payload = encodeResponseEnvelope(false, *bad.body);
-            enqueueFrame(conn, resp);
+            respond(conn, frame.requestId, false,
+                    ExperimentResponse::failure(Status::Error,
+                                                Kind::MeasurePower, e.what())
+                        .encodeBody());
             return true;
         }
         if (stopRequested_.load(std::memory_order_acquire)) {
-            Frame resp;
-            resp.type = FrameType::Response;
-            resp.requestId = frame.requestId;
-            resp.payload = encodeResponseEnvelope(
-                false, ExperimentResponse::failure(Status::Shed, req.kind,
-                                                   "server shutting down")
-                           .encodeBody());
-            enqueueFrame(conn, resp);
+            respond(conn, frame.requestId, false,
+                    ExperimentResponse::failure(Status::Shed, req.kind,
+                                                "server shutting down")
+                        .encodeBody());
             return true;
         }
         const std::uint64_t conn_id = conn.id;
@@ -284,10 +268,7 @@ ExperimentServer::handleFrame(Connection &conn, Frame frame)
         return true;
     }
     case FrameType::Ping: {
-        Frame pong;
-        pong.type = FrameType::Pong;
-        pong.requestId = frame.requestId;
-        enqueueFrame(conn, pong);
+        enqueueFrame(conn, {FrameType::Pong, frame.requestId, {}});
         return true;
     }
     case FrameType::StatsQuery: {
@@ -295,18 +276,12 @@ ExperimentServer::handleFrame(Connection &conn, Frame frame)
         s.workerId = cfg_.workerId;
         s.threads = scheduler_.threadCount();
         s.metrics = scheduler_.metrics();
-        Frame reply;
-        reply.type = FrameType::StatsReply;
-        reply.requestId = frame.requestId;
-        reply.payload = encodeWorkerStats(s);
-        enqueueFrame(conn, reply);
+        enqueueFrame(conn, {FrameType::StatsReply, frame.requestId,
+                            encodeWorkerStats(s)});
         return true;
     }
     case FrameType::Shutdown: {
-        Frame ack;
-        ack.type = FrameType::ShutdownAck;
-        ack.requestId = frame.requestId;
-        enqueueFrame(conn, ack);
+        enqueueFrame(conn, {FrameType::ShutdownAck, frame.requestId, {}});
         stopRequested_.store(true, std::memory_order_release);
         return true;
     }
@@ -341,13 +316,17 @@ ExperimentServer::flushCompletions()
         if (conn == nullptr)
             continue; // connection closed before the result arrived
         conn->inflight.erase(c.requestId);
-        Frame resp;
-        resp.type = FrameType::Response;
-        resp.requestId = c.requestId;
-        resp.payload =
-            encodeResponseEnvelope(c.result.cacheHit, *c.result.body);
-        enqueueFrame(*conn, resp);
+        respond(*conn, c.requestId, c.result.cacheHit, *c.result.body);
     }
+}
+
+void
+ExperimentServer::respond(Connection &conn, std::uint64_t request_id,
+                          bool served_from_cache,
+                          const std::vector<std::uint8_t> &body)
+{
+    enqueueFrame(conn, {FrameType::Response, request_id,
+                        encodeResponseEnvelope(served_from_cache, body)});
 }
 
 void

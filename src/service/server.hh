@@ -97,6 +97,10 @@ class ExperimentServer
     void flushCompletions();
     bool writePending(Connection &conn);
     void enqueueFrame(Connection &conn, const Frame &frame);
+    /** Queue the Response frame of `request_id`: envelope + body. */
+    void respond(Connection &conn, std::uint64_t request_id,
+                 bool served_from_cache,
+                 const std::vector<std::uint8_t> &body);
 
     ServerConfig cfg_;
     ExperimentScheduler scheduler_;

@@ -9,14 +9,19 @@
  *    IEEE-754 bit patterns (byte-exact round trips, same rule as
  *    ckpt::Archive), strings and blobs with a u32 length prefix.
  *    Reads are bounds-checked and throw ServiceError on truncation —
- *    a malformed frame can never read out of bounds.
+ *    a malformed frame can never read out of bounds.  Each layout is
+ *    one field list, `fields(io, self)`: a sequence of `io.io(field)`
+ *    calls that encodes over a WireWriter and decodes over a
+ *    WireReader, so both directions agree by construction (the
+ *    ckpt::Archive serialize idiom).
  *
  *  - Frames: the length-prefixed envelope on the TCP stream.
  *        u32 magic 'PSRV' | u16 wireVersion | u16 type |
  *        u64 requestId     | u32 payloadLen  | u32 payloadCrc |
  *        payload[payloadLen]
  *    The CRC (ckpt::crc32, the checkpoint subsystem's polynomial) lets
- *    the receiver reject corrupted frames before decoding.  requestId
+ *    the receiver reject corrupted frames before decoding; both ends
+ *    read the header through parseFrameHeader.  requestId
  *    is chosen by the client and echoed in the response, so one
  *    connection can pipeline many requests and cancel by id.
  *
@@ -29,12 +34,16 @@
 #ifndef PITON_SERVICE_WIRE_HH
 #define PITON_SERVICE_WIRE_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "common/little_endian.hh"
 
 namespace piton::service
 {
@@ -130,19 +139,36 @@ enum class FrameType : std::uint16_t
 class WireWriter
 {
   public:
+    static constexpr bool kWriting = true;
+
     void u8(std::uint8_t v) { bytes_.push_back(v); }
-    void u16(std::uint16_t v) { putLe(v, 2); }
-    void u32(std::uint32_t v) { putLe(v, 4); }
-    void u64(std::uint64_t v) { putLe(v, 8); }
-    void f64(double v);
-    void str(const std::string &s);
-    void blob(const std::vector<std::uint8_t> &b);
+    void u16(std::uint16_t v) { putLe(bytes_, v); }
+    void u32(std::uint32_t v) { putLe(bytes_, v); }
+    void u64(std::uint64_t v) { putLe(bytes_, v); }
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+    void str(const std::string &s) { putRange(s); }
+    void blob(const std::vector<std::uint8_t> &b) { putRange(b); }
+
+    void io(std::uint8_t v) { u8(v); }
+    void io(std::uint16_t v) { u16(v); }
+    void io(std::uint32_t v) { u32(v); }
+    void io(std::uint64_t v) { u64(v); }
+    void io(double v) { f64(v); }
+    void io(const std::string &s) { str(s); }
+    void io(const std::vector<std::uint8_t> &b) { blob(b); }
 
     const std::vector<std::uint8_t> &bytes() const { return bytes_; }
     std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
   private:
-    void putLe(std::uint64_t v, int n);
+    /** A u32 length, then the bytes. */
+    template <typename C>
+    void
+    putRange(const C &c)
+    {
+        u32(static_cast<std::uint32_t>(c.size()));
+        bytes_.insert(bytes_.end(), c.begin(), c.end());
+    }
 
     std::vector<std::uint8_t> bytes_;
 };
@@ -150,6 +176,8 @@ class WireWriter
 class WireReader
 {
   public:
+    static constexpr bool kWriting = false;
+
     WireReader(const std::uint8_t *data, std::size_t len)
         : data_(data), len_(len)
     {}
@@ -157,26 +185,126 @@ class WireReader
         : WireReader(bytes.data(), bytes.size())
     {}
 
-    std::uint8_t u8();
-    std::uint16_t u16() { return static_cast<std::uint16_t>(getLe(2)); }
-    std::uint32_t u32() { return static_cast<std::uint32_t>(getLe(4)); }
-    std::uint64_t u64() { return getLe(8); }
-    double f64();
-    std::string str();
-    std::vector<std::uint8_t> blob();
+    std::uint8_t u8() { return get<std::uint8_t>(); }
+    std::uint16_t u16() { return get<std::uint16_t>(); }
+    std::uint32_t u32() { return get<std::uint32_t>(); }
+    std::uint64_t u64() { return get<std::uint64_t>(); }
+    double f64() { return std::bit_cast<double>(u64()); }
+    std::string str() { return getRange<std::string>(); }
+    std::vector<std::uint8_t> blob()
+    {
+        return getRange<std::vector<std::uint8_t>>();
+    }
 
-    std::size_t remaining() const { return len_ - pos_; }
+    void io(std::uint8_t &v) { v = u8(); }
+    void io(std::uint16_t &v) { v = u16(); }
+    void io(std::uint32_t &v) { v = u32(); }
+    void io(std::uint64_t &v) { v = u64(); }
+    void io(double &v) { v = f64(); }
+    void io(std::string &s) { s = str(); }
+    void io(std::vector<std::uint8_t> &b) { b = blob(); }
+
     /** Trailing bytes mean writer/reader layout disagreement. */
     void expectEnd() const;
 
   private:
-    std::uint64_t getLe(int n);
+    template <typename T>
+    T
+    get()
+    {
+        need(sizeof(T));
+        const T v = loadLe<T>(data_ + pos_);
+        pos_ += sizeof(T);
+        return v;
+    }
+    template <typename C>
+    C
+    getRange()
+    {
+        const std::uint32_t n = u32();
+        need(n);
+        C c(data_ + pos_, data_ + pos_ + n);
+        pos_ += n;
+        return c;
+    }
     void need(std::size_t n) const;
 
     const std::uint8_t *data_;
     std::size_t len_;
     std::size_t pos_ = 0;
 };
+
+/** A field held in memory as T but stored as the fixed-width `Wire`
+ *  (an int as u32, an enum as its u16, a bool as u8). */
+template <typename Wire, typename Io, typename T>
+void
+ioAs(Io &io, T &v)
+{
+    if constexpr (Io::kWriting) {
+        io.io(static_cast<Wire>(v));
+    } else {
+        Wire raw{};
+        io.io(raw);
+        v = static_cast<T>(raw);
+    }
+}
+
+/** An enum stored as `Wire`; decoding throws ServiceError(what) unless
+ *  the value is below `bound`. */
+template <typename Wire, typename Io, typename E>
+void
+ioEnum(Io &io, E &v, std::remove_const_t<E> bound, const char *what)
+{
+    ioAs<Wire>(io, v);
+    if (!Io::kWriting && static_cast<Wire>(v) >= static_cast<Wire>(bound))
+        throw ServiceError(what);
+}
+
+/** A vector: its length as `Len`, then each element through
+ *  `elem(io, x)`.  Decoding throws ServiceError(what) on a length above
+ *  `max`, before allocating. */
+template <typename Len, typename Io, typename V, typename Elem>
+void
+ioVector(Io &io, V &v, std::size_t max, const char *what, Elem elem)
+{
+    if constexpr (Io::kWriting) {
+        io.io(static_cast<Len>(v.size()));
+    } else {
+        Len n{};
+        io.io(n);
+        if (n > max)
+            throw ServiceError(what);
+        v.resize(n);
+    }
+    for (auto &x : v)
+        elem(io, x);
+}
+
+/** The element I/O of a vector of plain fields (for ioVector). */
+inline constexpr auto ioField = [](auto &io, auto &x) { io.io(x); };
+
+/** `v` encoded through its type's field list. */
+template <typename T>
+std::vector<std::uint8_t>
+encodeFields(const T &v)
+{
+    WireWriter w;
+    T::fields(w, v);
+    return w.take();
+}
+
+/** Inverse of encodeFields: throws ServiceError on truncation, a
+ *  violated bound or trailing bytes. */
+template <typename T>
+T
+decodeFields(const std::vector<std::uint8_t> &bytes)
+{
+    WireReader r(bytes);
+    T v;
+    T::fields(r, v);
+    r.expectEnd();
+    return v;
+}
 
 // ---- framing --------------------------------------------------------
 
@@ -194,6 +322,32 @@ std::vector<std::uint8_t> encodeFrame(const Frame &frame,
                                       std::uint16_t wire_version
                                       = kWireVersion);
 
+/** The fixed-size header in front of every frame's payload. */
+struct FrameHeader
+{
+    static constexpr std::size_t kBytes = 24;
+
+    std::uint32_t magic = kFrameMagic;
+    std::uint16_t version = kWireVersion;
+    FrameType type = FrameType::Ping;
+    std::uint64_t requestId = 0;
+    std::uint32_t payloadLen = 0;
+    std::uint32_t payloadCrc = 0;
+
+    template <typename Io, typename Self>
+    static void fields(Io &io, Self &self);
+
+    /** Throws ServiceError unless `payload` matches payloadCrc. */
+    void checkPayload(const std::vector<std::uint8_t> &payload) const;
+};
+
+/** Parse the header at p[0, FrameHeader::kBytes), throwing ServiceError
+ *  on a bad magic or a payload length above kMaxPayloadBytes (before
+ *  anything is allocated for it).  The version is left to the caller:
+ *  a server answers a mismatch with a VersionError frame, and a client
+ *  decodes a VersionError frame of any version. */
+FrameHeader parseFrameHeader(const std::uint8_t *p);
+
 /** VersionError payload.  FROZEN layout (u16 server, u16 client echo,
  *  str message): every future version must encode/decode it
  *  identically, or version skew becomes undiagnosable. */
@@ -202,6 +356,9 @@ struct VersionInfo
     std::uint16_t serverVersion = 0;
     std::uint16_t clientVersion = 0;
     std::string message;
+
+    template <typename Io, typename Self>
+    static void fields(Io &io, Self &self);
 };
 
 std::vector<std::uint8_t> encodeVersionError(const VersionInfo &info);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/numeric_flag.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -213,6 +214,57 @@ TEST(Units, RoundTripConversions)
     EXPECT_DOUBLE_EQ(jToPj(pjToJ(7.5)), 7.5);
     EXPECT_DOUBLE_EQ(jToNj(njToJ(7.5)), 7.5);
     EXPECT_DOUBLE_EQ(hzToMhz(mhzToHz(500.05)), 500.05);
+}
+
+TEST(NumericFlag, AcceptsDecimalsUpToTheBound)
+{
+    EXPECT_EQ(parseUnsigned("0", 65535), 0u);
+    EXPECT_EQ(parseUnsigned("65535", 65535), 65535u);
+    EXPECT_EQ(parseUnsigned("4294967295", 0xffffffffu), 0xffffffffu);
+    EXPECT_EQ(parseUnsigned("18446744073709551615", UINT64_MAX),
+              UINT64_MAX);
+}
+
+TEST(NumericFlag, RejectsValuesAboveTheBound)
+{
+    // The values the service tools used to truncate: --port 70000 bound
+    // port 4464, and --budget 4294967297 ran a budget of 1.
+    EXPECT_FALSE(parseUnsigned("70000", 65535));
+    EXPECT_FALSE(parseUnsigned("65536", 65535));
+    EXPECT_FALSE(parseUnsigned("4294967297", 0xffffffffu));
+    EXPECT_FALSE(parseUnsigned("2147483648", 0x7fffffff));
+    // Overflow of 64 bits is out of range too, never a wrapped value.
+    EXPECT_FALSE(parseUnsigned("18446744073709551616", UINT64_MAX));
+    EXPECT_FALSE(parseUnsigned("99999999999999999999999", UINT64_MAX));
+}
+
+TEST(NumericFlag, RejectsAnythingButPlainDigits)
+{
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1e3",
+                            "1.5", "port"})
+        EXPECT_FALSE(parseUnsigned(bad, UINT64_MAX)) << '"' << bad
+                                                             << '"';
+    EXPECT_FALSE(parseUnsigned(nullptr, UINT64_MAX));
+}
+
+TEST(NumericFlag, ParseFlagBoundsByTheDestinationType)
+{
+    std::uint16_t port = 0;
+    parseFlag(port, "prog", "--port", "7425");
+    EXPECT_EQ(port, 7425);
+    int chip = -1;
+    parseFlag(chip, "prog", "--chip", "2147483647");
+    EXPECT_EQ(chip, 2147483647);
+    EXPECT_EXIT(parseFlag(port, "prog", "--port", "70000"),
+                ::testing::ExitedWithCode(2),
+                "bad numeric value for --port: 70000");
+    std::uint32_t budget = 0;
+    EXPECT_EXIT(parseFlag(budget, "prog", "--budget", "4294967297"),
+                ::testing::ExitedWithCode(2), "--budget");
+    EXPECT_EXIT(parseFlag(chip, "prog", "--chip", "2147483648"),
+                ::testing::ExitedWithCode(2), "--chip");
+    EXPECT_EXIT(parseFlag(port, "prog", "--port", nullptr),
+                ::testing::ExitedWithCode(2), "missing value for --port");
 }
 
 } // namespace

@@ -50,6 +50,25 @@ await_server() {
     return 1
 }
 
+# Every numeric flag is bounded by its destination: an out-of-range
+# value exits with status 2 before any server starts or any socket is
+# opened (it once wrapped, e.g. --port 70000 bound port 4464).  The
+# timeout turns a regression into a failure instead of a hang.
+step "tools: out-of-range numeric flags exit 2"
+expect_usage_error() {
+    local rc=0
+    timeout 10 "$@" >/dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "expected exit 2 from: $*, got $rc" >&2
+        exit 1
+    fi
+}
+expect_usage_error "$tools/piton-served" --port 70000
+expect_usage_error "$tools/piton-served" --max-pending 18446744073709551616
+expect_usage_error "$tools/piton-servectl" --port 65536 ping
+expect_usage_error "$tools/piton-searchctl" minimize-epi --budget 4294967297
+expect_usage_error "$tools/piton-searchctl" minimize-epi --chip 2147483648
+
 # The daemon runs for the whole exchange; a sanitizer finding aborts
 # it, which fails the final `wait`.  The burst covers: liveness (ping),
 # deadline expiry of a queued request, cold/warm byte-identity

@@ -40,6 +40,7 @@
 #include <string>
 
 #include "search/searcher.hh"
+#include "common/numeric_flag.hh"
 #include "service/client.hh"
 #include "workloads/microbenchmarks.hh"
 
@@ -62,18 +63,6 @@ usage(const char *prog)
         "         --power-cap W --deadline-s S --threads N --out FILE\n",
         prog);
     std::exit(2);
-}
-
-long
-numericValue(const char *prog, const char *value)
-{
-    if (value == nullptr)
-        usage(prog);
-    char *end = nullptr;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < 0)
-        usage(prog);
-    return v;
 }
 
 double
@@ -173,37 +162,31 @@ main(int argc, char **argv)
             engine = next;
             ++i;
         } else if (std::strcmp(a, "--seed") == 0) {
-            opts.seed =
-                static_cast<std::uint64_t>(numericValue(argv[0], next));
+            parseFlag(opts.seed, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--budget") == 0) {
-            opts.budget =
-                static_cast<std::uint32_t>(numericValue(argv[0], next));
+            parseFlag(opts.budget, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--batch") == 0) {
-            opts.batch =
-                static_cast<std::uint32_t>(numericValue(argv[0], next));
+            parseFlag(opts.batch, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--cores") == 0) {
-            cores = static_cast<std::uint32_t>(numericValue(argv[0], next));
+            parseFlag(cores, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--chip") == 0) {
-            chip_id = static_cast<int>(numericValue(argv[0], next));
+            parseFlag(chip_id, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--bench") == 0 && next != nullptr) {
             task.base.workload.bench = benchFromName(argv[0], next);
             ++i;
         } else if (std::strcmp(a, "--iterations") == 0) {
-            task.base.workload.iterations =
-                static_cast<std::uint64_t>(numericValue(argv[0], next));
+            parseFlag(task.base.workload.iterations, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--explore-iterations") == 0) {
-            task.exploreIterations =
-                static_cast<std::uint64_t>(numericValue(argv[0], next));
+            parseFlag(task.exploreIterations, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--explore-slices") == 0) {
-            task.exploreSampledSlices =
-                static_cast<std::uint32_t>(numericValue(argv[0], next));
+            parseFlag(task.exploreSampledSlices, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--power-cap") == 0) {
             task.objective.powerCapW = doubleValue(argv[0], next);
@@ -212,10 +195,10 @@ main(int argc, char **argv)
             task.objective.deadlineS = doubleValue(argv[0], next);
             ++i;
         } else if (std::strcmp(a, "--threads") == 0) {
-            threads = static_cast<unsigned>(numericValue(argv[0], next));
+            parseFlag(threads, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--port") == 0) {
-            port = static_cast<std::uint16_t>(numericValue(argv[0], next));
+            parseFlag(port, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--out") == 0 && next != nullptr) {
             out_path = next;

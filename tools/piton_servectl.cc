@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/numeric_flag.hh"
 #include "service/client.hh"
 
 namespace
@@ -47,18 +48,6 @@ usage(const char *prog)
         std::fprintf(stderr, " %s", name.c_str());
     std::fprintf(stderr, "\n");
     std::exit(2);
-}
-
-long
-numericValue(const char *prog, const char *value)
-{
-    if (value == nullptr)
-        usage(prog);
-    char *end = nullptr;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < 0)
-        usage(prog);
-    return v;
 }
 
 void
@@ -151,7 +140,7 @@ main(int argc, char **argv)
     std::uint16_t port = 7425;
     int i = 1;
     if (i + 1 < argc && std::strcmp(argv[i], "--port") == 0) {
-        port = static_cast<std::uint16_t>(numericValue(argv[0], argv[i + 1]));
+        parseFlag(port, argv[0], argv[i], argv[i + 1]);
         i += 2;
     }
     if (i >= argc)
@@ -185,15 +174,13 @@ main(int argc, char **argv)
             const char *a = argv[i];
             const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
             if (std::strcmp(a, "--samples") == 0) {
-                req.samples = static_cast<std::uint32_t>(
-                    numericValue(argv[0], next));
+                parseFlag(req.samples, argv[0], a, next);
                 ++i;
             } else if (std::strcmp(a, "--deadline-ms") == 0) {
-                req.deadlineMs = static_cast<std::uint32_t>(
-                    numericValue(argv[0], next));
+                parseFlag(req.deadlineMs, argv[0], a, next);
                 ++i;
             } else if (std::strcmp(a, "--repeat") == 0) {
-                repeat = numericValue(argv[0], next);
+                parseFlag(repeat, argv[0], a, next);
                 ++i;
             } else if (std::strcmp(a, "--expect-identical") == 0) {
                 expect_identical = true;

@@ -32,6 +32,7 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/numeric_flag.hh"
 #include "service/server.hh"
 
 namespace
@@ -56,18 +57,6 @@ usage(const char *prog)
     std::exit(2);
 }
 
-long
-numericValue(const char *prog, const char *value)
-{
-    if (value == nullptr)
-        usage(prog);
-    char *end = nullptr;
-    const long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < 0)
-        usage(prog);
-    return v;
-}
-
 } // namespace
 
 int
@@ -81,16 +70,13 @@ main(int argc, char **argv)
         const char *a = argv[i];
         const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
         if (std::strcmp(a, "--port") == 0) {
-            cfg.port = static_cast<std::uint16_t>(
-                numericValue(argv[0], next));
+            parseFlag(cfg.port, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--threads") == 0) {
-            cfg.scheduler.threads =
-                static_cast<unsigned>(numericValue(argv[0], next));
+            parseFlag(cfg.scheduler.threads, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--max-pending") == 0) {
-            cfg.scheduler.maxPending =
-                static_cast<std::size_t>(numericValue(argv[0], next));
+            parseFlag(cfg.scheduler.maxPending, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--cache-dir") == 0) {
             if (next == nullptr)
