@@ -63,11 +63,13 @@ main(int argc, char **argv)
 {
     using namespace piton;
     bench::banner("Extension", "Energy-optimal DVFS operating point");
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 16);
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, 16, 1, {}, 0, {"--governor", "--scenario"});
+    const std::string policy = args.optionValue("--governor");
+    const std::string scenario = args.optionValue("--scenario");
 
-    if (!args.scenario.empty()) {
-        const governor::Scenario sc =
-            governor::Scenario::fromFile(args.scenario);
+    if (!scenario.empty()) {
+        const governor::Scenario sc = governor::Scenario::fromFile(scenario);
         sim::System sys;
         const governor::ScenarioResult r = governor::runScenario(sys, sc);
         TextTable t({"Phase", "Cycles", "Time (ms)", "Energy (mJ)",
@@ -128,9 +130,9 @@ main(int argc, char **argv)
                  "DVFS policies need exactly the Fig. 9 + Fig. 10"
                  " characterization.\n";
 
-    if (!args.governor.empty() && args.governor != "none") {
+    if (!policy.empty() && policy != "none") {
         governor::GovernorParams gp;
-        gp.policy = args.governor;
+        gp.policy = policy;
         if (gp.policy == "pidcap")
             gp.capW = 1.5; // mid-bathtub budget for the comparison
         const auto gov = governor::makeGovernor(gp);

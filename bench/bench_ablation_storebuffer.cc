@@ -7,6 +7,7 @@
  * change with a different design point.
  */
 
+#include <cstdio>
 #include <iostream>
 
 #include "arch/piton_chip.hh"
@@ -23,6 +24,7 @@ main()
 
     TextTable t({"Entries", "Stores", "Rollbacks", "Rollbacks/store",
                  "Exec+rollback energy (uJ)", "Cycles"});
+    double first_rollback_j = 0.0, last_rollback_j = 0.0;
     for (const std::uint32_t entries : {2u, 4u, 8u, 16u, 32u}) {
         config::PitonParams params;
         params.storeBufferEntries = entries;
@@ -44,11 +46,16 @@ main()
         const auto r = chip.run(100'000'000);
 
         const auto &thread = chip.core(0).thread(0);
+        const double rollback_j =
+            chip.ledger().category(power::Category::Rollback)
+                .onChipCoreAndSram();
+        if (entries == 2)
+            first_rollback_j = rollback_j;
+        last_rollback_j = rollback_j;
         const double energy_uj =
             (chip.ledger().category(power::Category::Exec)
                  .onChipCoreAndSram()
-             + chip.ledger().category(power::Category::Rollback)
-                   .onChipCoreAndSram())
+             + rollback_j)
             * 1e6;
         t.addRow({std::to_string(entries),
                   std::to_string(thread.instsExecuted),
@@ -59,9 +66,13 @@ main()
     }
     t.print(std::cout);
 
-    std::cout << "\nDeeper buffers absorb longer store bursts: rollback"
-                 " (replay) energy falls\nand throughput rises, at the"
-                 " area/latency cost of a larger CAM — the\ndesign"
-                 " tradeoff behind Piton's 8-entry choice.\n";
+    std::printf("\nThe 16-store burst to two lines defeats every depth:"
+                " about one rollback per\nstore at each, so rollback"
+                " (replay) energy changes only %+.2f %% from 2 to 32\n"
+                "entries.  A deeper buffer pays off only for bursts it"
+                " can absorb, at the\narea/latency cost of a larger CAM"
+                " — the design tradeoff behind Piton's\n8-entry"
+                " choice.\n",
+                (last_rollback_j / first_rollback_j - 1.0) * 100.0);
     return 0;
 }

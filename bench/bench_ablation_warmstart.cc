@@ -15,7 +15,7 @@
  *                   bit patterns, final die temperature, telemetry
  *                   CSV bytes), then report the wall-clock ratio.
  *
- * Checkpoint-file plumbing (bench_util.hh):
+ * Checkpoint-file plumbing (this bench's own flags):
  *   --checkpoint-out FILE    write the post-prefix image to FILE;
  *   --checkpoint-every N     while running the prefix, also save a
  *                            rolling checkpoint every N windows
@@ -179,12 +179,20 @@ main(int argc, char **argv)
 
     const bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, /*def_samples=*/16, /*def_threads=*/0,
-        {"--cold", "--verify"});
+        {"--cold", "--verify"}, 0,
+        {"--checkpoint-every", "--checkpoint-out", "--resume-from"});
     const std::uint32_t windows = args.samples;
     const bool cold_only = args.hasFlag("--cold");
     const bool verify = args.hasFlag("--verify");
-    // --checkpoint-every/--checkpoint-out consistency is enforced
-    // centrally by parseBenchArgs.
+    const std::string resume_from = args.optionValue("--resume-from");
+    const std::string checkpoint_out = args.optionValue("--checkpoint-out");
+    const auto checkpoint_every =
+        static_cast<std::uint32_t>(bench::detail::numericValue(
+            argv[0], "--checkpoint-every",
+            args.optionValue("--checkpoint-every", "0").c_str()));
+    if (checkpoint_every > 0 && checkpoint_out.empty())
+        bench::detail::usageError(argv[0], "--checkpoint-every requires",
+                                  "--checkpoint-out");
 
     std::vector<PointResult> warm, cold;
     double warm_s = 0.0, cold_s = 0.0;
@@ -192,21 +200,21 @@ main(int argc, char **argv)
     if (!cold_only || verify) {
         const auto t0 = Clock::now();
         sim::SweepWarmStart ws = [&] {
-            if (!args.resumeFrom.empty()) {
-                std::cout << "prefix: resumed from '" << args.resumeFrom
+            if (!resume_from.empty()) {
+                std::cout << "prefix: resumed from '" << resume_from
                           << "' (shared warmup skipped)\n";
                 return sim::SweepWarmStart::fromImage(
-                    sweepOptions(), ckpt::readFile(args.resumeFrom));
+                    sweepOptions(), ckpt::readFile(resume_from));
             }
             sim::System donor(sweepOptions());
-            const auto programs = runPrefix(donor, args.checkpointEvery,
-                                            args.checkpointOut);
+            const auto programs =
+                runPrefix(donor, checkpoint_every, checkpoint_out);
             return sim::SweepWarmStart::capture(donor);
         }();
-        if (!args.checkpointOut.empty() && args.resumeFrom.empty()) {
-            ckpt::writeFile(args.checkpointOut, ws.bytes());
+        if (!checkpoint_out.empty() && resume_from.empty()) {
+            ckpt::writeFile(checkpoint_out, ws.bytes());
             std::cout << "prefix checkpoint (" << ws.bytes().size()
-                      << " bytes) -> " << args.checkpointOut << '\n';
+                      << " bytes) -> " << checkpoint_out << '\n';
         }
         warm = runWarm(ws, windows, args.threads);
         warm_s = std::chrono::duration<double>(Clock::now() - t0).count();

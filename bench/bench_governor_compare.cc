@@ -51,17 +51,20 @@ main(int argc, char **argv)
 {
     using namespace piton;
     bench::banner("Extension", "Closed-loop DVFS governor comparison");
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const bench::BenchArgs args = bench::parseBenchArgs(
+        argc, argv, 128, 1, {}, 0, {"--governor", "--scenario"});
+    const std::string scenario = args.optionValue("--scenario");
 
     const governor::Scenario base =
-        args.scenario.empty()
+        scenario.empty()
             ? governor::Scenario::fromText(kBuiltinScenario, "<builtin>")
-            : governor::Scenario::fromFile(args.scenario);
+            : governor::Scenario::fromFile(scenario);
 
     std::vector<std::string> policies = {"none", "ondemand", "pidcap",
                                          "theas"};
-    if (!args.governor.empty())
-        policies = {args.governor};
+    if (const std::string policy = args.optionValue("--governor");
+        !policy.empty())
+        policies = {policy};
 
     std::cout << "scenario '" << base.name << "': " << base.workload
               << " on " << base.tiles << " tiles x "

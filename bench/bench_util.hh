@@ -2,8 +2,11 @@
  * @file
  * Shared helpers for the reproduction benches: banner printing and the
  * one common command-line parser.  Every bench that takes arguments
- * goes through parseBenchArgs so the flag set, defaults, and the
- * hard-error behaviour on unknown flags are identical across binaries.
+ * goes through parseBenchArgs so the common flags (--samples, --threads,
+ * --out), their defaults, and the hard-error behaviour on unknown flags
+ * are identical across binaries.  A flag only some benches read (e.g.
+ * --governor, --resume-from) is on those benches' own allow-lists, so
+ * every other bench rejects it.
  */
 
 #ifndef PITON_BENCH_BENCH_UTIL_HH
@@ -43,20 +46,6 @@ struct BenchArgs
     unsigned threads = 1;
     /** Telemetry output directory (--out); empty = no export. */
     std::string outDir;
-    /** Periodic checkpoint cadence in sample windows
-     *  (--checkpoint-every; 0 = disabled). */
-    std::uint32_t checkpointEvery = 0;
-    /** Checkpoint file to write (--checkpoint-out; empty = none). */
-    std::string checkpointOut;
-    /** Checkpoint file to resume from (--resume-from; empty = cold
-     *  start). */
-    std::string resumeFrom;
-    /** DVFS governor policy (--governor; empty = bench default, which
-     *  is the static-table "none" policy). */
-    std::string governor;
-    /** Scenario kv-file (--scenario; empty = the bench's built-in
-     *  scenario).  See src/governor/scenario.hh for the schema. */
-    std::string scenario;
     /** Extra boolean flags seen (from the caller's allow-list). */
     std::vector<std::string> flags;
     /** Extra valued options seen (from the caller's allow-list).  At
@@ -95,20 +84,20 @@ usageError(const char *prog, const char *msg, const char *arg)
                  arg ? arg : "");
     std::fprintf(stderr,
                  "usage: %s [--samples N] [--threads N] [--out DIR]"
-                 " [--checkpoint-every N] [--checkpoint-out FILE]"
-                 " [--resume-from FILE] [--governor POLICY]"
-                 " [--scenario FILE] [extra flags] [positionals]\n",
+                 " [extra flags] [positionals]\n",
                  prog);
     std::exit(2);
 }
 
+/** `value` as a count; bounded by default to fit the uint32_t/unsigned
+ *  fields. */
 inline long
-numericValue(const char *prog, const char *flag, const char *value)
+numericValue(const char *prog, const char *flag, const char *value,
+             std::uint64_t max = 0x7fffffff)
 {
     if (value == nullptr)
         usageError(prog, "missing value for", flag);
-    // Bounded to fit the uint32_t/unsigned fields.
-    const auto v = parseUnsigned(value, 0x7fffffff);
+    const auto v = parseUnsigned(value, max);
     if (!v)
         usageError(prog, "bad numeric value for", flag);
     return static_cast<long>(*v);
@@ -119,7 +108,8 @@ numericValue(const char *prog, const char *flag, const char *value)
 /**
  * Parse the common bench flags:
  *   --samples N         monitor samples per measurement
- *   --threads N         sweep worker threads (0 = all hardware threads)
+ *   --threads N         sweep worker threads (0 = all hardware threads;
+ *                       at most maxWorkerThreads())
  *   --out DIR           telemetry export directory (benches that record
  *                       telemetry write <dir>/<bench>.{csv,jsonl})
  * plus any caller-allowed boolean `extra_flags` (e.g. "--full"),
@@ -159,36 +149,12 @@ parseBenchArgs(int argc, char **argv, std::uint32_t def_samples = 128,
             ++i;
         } else if (std::strcmp(a, "--threads") == 0) {
             args.threads = static_cast<unsigned>(
-                detail::numericValue(prog, a, next));
+                detail::numericValue(prog, a, next, maxWorkerThreads()));
             ++i;
         } else if (std::strcmp(a, "--out") == 0) {
             if (next == nullptr)
                 detail::usageError(prog, "missing value for", a);
             args.outDir = next;
-            ++i;
-        } else if (std::strcmp(a, "--checkpoint-every") == 0) {
-            args.checkpointEvery = static_cast<std::uint32_t>(
-                detail::numericValue(prog, a, next));
-            ++i;
-        } else if (std::strcmp(a, "--checkpoint-out") == 0) {
-            if (next == nullptr)
-                detail::usageError(prog, "missing value for", a);
-            args.checkpointOut = next;
-            ++i;
-        } else if (std::strcmp(a, "--resume-from") == 0) {
-            if (next == nullptr)
-                detail::usageError(prog, "missing value for", a);
-            args.resumeFrom = next;
-            ++i;
-        } else if (std::strcmp(a, "--governor") == 0) {
-            if (next == nullptr)
-                detail::usageError(prog, "missing value for", a);
-            args.governor = next;
-            ++i;
-        } else if (std::strcmp(a, "--scenario") == 0) {
-            if (next == nullptr)
-                detail::usageError(prog, "missing value for", a);
-            args.scenario = next;
             ++i;
         } else if (a[0] == '-') {
             bool known = false;
@@ -214,24 +180,6 @@ parseBenchArgs(int argc, char **argv, std::uint32_t def_samples = 128,
                 detail::usageError(prog, "unexpected argument", a);
             args.positionals.emplace_back(a);
         }
-    }
-
-    // Cross-flag validation: mutually exclusive or dependent flag
-    // combinations are hard errors here, not per-bench warnings, so
-    // every binary rejects them identically.
-    if (args.checkpointEvery > 0 && args.checkpointOut.empty())
-        detail::usageError(prog, "--checkpoint-every requires",
-                           "--checkpoint-out");
-    if (args.hasFlag("--sampled")) {
-        // A sampled run re-simulates slices forked from its own
-        // profile; layering it over an unrelated resume image or a
-        // periodic checkpoint stream is undefined.
-        if (!args.resumeFrom.empty())
-            detail::usageError(prog, "--sampled is incompatible with",
-                               "--resume-from");
-        if (args.checkpointEvery > 0 || !args.checkpointOut.empty())
-            detail::usageError(prog, "--sampled is incompatible with",
-                               "--checkpoint-every/--checkpoint-out");
     }
     return args;
 }

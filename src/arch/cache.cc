@@ -11,19 +11,6 @@
 namespace piton::arch
 {
 
-const char *
-mesiName(Mesi s)
-{
-    switch (s) {
-      case Mesi::Invalid: return "I";
-      case Mesi::Shared: return "S";
-      case Mesi::Exclusive: return "E";
-      case Mesi::Modified: return "M";
-      default:
-        piton_panic("bad MESI state");
-    }
-}
-
 void
 LineUnmap::operator()(CacheLine *lines) const
 {

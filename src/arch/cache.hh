@@ -36,8 +36,6 @@ enum class Mesi : std::uint8_t
     Modified,
 };
 
-const char *mesiName(Mesi s);
-
 struct CacheLine
 {
     Addr tag = 0;       ///< line-aligned address

@@ -70,7 +70,9 @@ inline constexpr char kMagic[8] = {'P', 'I', 'T', 'O', 'N', 'C', 'K', 'P'};
  *  v3: optional sys.governor section (DVFS control-loop state) and the
  *  Volts/Amps telemetry units.
  *  v4: chip.bbv section (per-tile BBV histograms) and the optional
- *  sys.sampling section (interval-profiler state).
+ *  sys.sampling section (interval-profiler state).  Nothing writes
+ *  sys.sampling any more; forLoad skips sections nobody opens, so an
+ *  image that still carries one restores and the section is ignored.
  *  v5: static per-tile duty gating — tileFreqMhz joins the sys.meta
  *  fingerprint and the sys.duty section carries the Bresenham
  *  accumulators of ungoverned placed runs.

@@ -14,15 +14,6 @@ AreaLevel::percentSum() const
     return s;
 }
 
-bool
-AreaLevel::hasBlock(const std::string &block) const
-{
-    for (const auto &b : blocks)
-        if (b.name == block)
-            return true;
-    return false;
-}
-
 double
 AreaLevel::blockPercent(const std::string &block) const
 {

@@ -37,7 +37,6 @@ struct AreaLevel
     double blockAreaMm2(const std::string &block) const;
     /** Percentage of one named block; fatal if unknown. */
     double blockPercent(const std::string &block) const;
-    bool hasBlock(const std::string &block) const;
 };
 
 class AreaModel

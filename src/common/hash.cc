@@ -55,14 +55,6 @@ Hasher::updateU32(std::uint32_t v)
     return update(b, sizeof(b));
 }
 
-Hasher &
-Hasher::updateU64(std::uint64_t v)
-{
-    std::uint8_t b[sizeof(v)];
-    storeLe(b, v);
-    return update(b, sizeof(b));
-}
-
 Hash128
 Hasher::digest() const
 {

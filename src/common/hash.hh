@@ -64,7 +64,6 @@ class Hasher
      *  service hashes length-prefixed encodings, which are
      *  self-delimiting). */
     Hasher &updateU32(std::uint32_t v);
-    Hasher &updateU64(std::uint64_t v);
 
     Hash128 digest() const;
 

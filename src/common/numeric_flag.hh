@@ -4,6 +4,8 @@
  * tools (tools/) and the reproduction benches (bench/bench_util.hh).  A
  * value must fit the variable it lands in: out of range is an error,
  * never a silent truncation (--port 70000 must not bind port 4464).
+ * Worker-thread counts are bounded by maxWorkerThreads() as well: each
+ * worker is an OS thread, started before any work is queued.
  */
 
 #ifndef PITON_COMMON_NUMERIC_FLAG_HH
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <thread>
 
 namespace piton
 {
@@ -36,14 +39,26 @@ parseUnsigned(const char *text, std::uint64_t max)
     return v;
 }
 
-/** Parse the value of `flag` into `dest`, bounded by the maximum of its
- *  type; otherwise print one line naming the flag and exit with 2. */
+/** Worker threads a flag may ask for per hardware thread. */
+inline constexpr unsigned kWorkersPerHardwareThread = 8;
+
+/** The most worker threads a --threads flag accepts on a host with `hw`
+ *  hardware threads (0, "unknown", counts as 1). */
+inline unsigned
+maxWorkerThreads(unsigned hw = std::thread::hardware_concurrency())
+{
+    return kWorkersPerHardwareThread * (hw != 0 ? hw : 1);
+}
+
+/** Parse the value of `flag` into `dest`, bounded by `max` (default: the
+ *  maximum of its type); otherwise print one line naming the flag and
+ *  exit with 2. */
 template <typename T>
 void
-parseFlag(T &dest, const char *prog, const char *flag, const char *text)
+parseFlag(T &dest, const char *prog, const char *flag, const char *text,
+          std::uint64_t max = std::numeric_limits<T>::max())
 {
-    const auto v = parseUnsigned(
-        text, static_cast<std::uint64_t>(std::numeric_limits<T>::max()));
+    const auto v = parseUnsigned(text, max);
     if (!v) {
         std::fprintf(stderr, "%s: %s %s%s%s\n", prog,
                      text ? "bad numeric value for" : "missing value for",

@@ -105,22 +105,4 @@ LinearFit::fit() const
     return out;
 }
 
-double
-meanOf(const std::vector<double> &v)
-{
-    RunningStats s;
-    for (double x : v)
-        s.add(x);
-    return s.mean();
-}
-
-double
-stddevOf(const std::vector<double> &v)
-{
-    RunningStats s;
-    for (double x : v)
-        s.add(x);
-    return s.stddev();
-}
-
 } // namespace piton

@@ -74,12 +74,6 @@ class LinearFit
     std::vector<double> ys_;
 };
 
-/** Mean of a vector; 0 for an empty vector. */
-double meanOf(const std::vector<double> &v);
-
-/** Population standard deviation of a vector; 0 for size < 1. */
-double stddevOf(const std::vector<double> &v);
-
 } // namespace piton
 
 #endif // PITON_COMMON_STATS_HH

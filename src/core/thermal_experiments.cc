@@ -30,12 +30,6 @@ ThermalSweepExperiment::ThermalSweepExperiment(sim::SystemOptions opts,
 }
 
 double
-ThermalSweepExperiment::dynamicPowerW(std::uint32_t threads) const
-{
-    return dynamicPowerImplW(opts_, threads, nullptr);
-}
-
-double
 ThermalSweepExperiment::dynamicPowerImplW(
     const sim::SystemOptions &opts, std::uint32_t threads,
     telemetry::TelemetryRecorder *rec) const

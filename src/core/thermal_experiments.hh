@@ -44,12 +44,6 @@ class ThermalSweepExperiment
         sim::SystemOptions opts = thermalStudyOptions(),
         std::uint32_t samples = 32);
 
-    /** Dynamic (temperature-independent) chip power with `threads`
-     *  active threads of the HP workload.  Measured through the
-     *  telemetry path (mean of the measured.onchip_w series minus
-     *  leakage at the measurement temperature). */
-    double dynamicPowerW(std::uint32_t threads) const;
-
     /**
      * Sweep fan effectiveness for one thread count.  When `rec` is
      * non-null the underlying measurement's full telemetry (true +
@@ -73,6 +67,10 @@ class ThermalSweepExperiment
     runAll(telemetry::TelemetryRecorder *merged = nullptr) const;
 
   private:
+    /** Dynamic (temperature-independent) chip power with `threads`
+     *  active threads of the HP workload.  Measured through the
+     *  telemetry path (mean of the measured.onchip_w series minus
+     *  leakage at the measurement temperature). */
     double dynamicPowerImplW(const sim::SystemOptions &opts,
                              std::uint32_t threads,
                              telemetry::TelemetryRecorder *rec) const;

@@ -4,26 +4,12 @@
 
 #include "checkpoint/archive.hh"
 #include "common/logging.hh"
-#include "telemetry/schema.hh"
 
 namespace piton::sampling
 {
 
 namespace
 {
-
-/** A packed image through the archive in its unpacked layout; an
- *  empty vector (no image captured) stays empty. */
-void
-ioPackedImage(ckpt::Archive &ar, std::vector<std::uint8_t> &packed)
-{
-    std::vector<std::uint8_t> raw;
-    if (ar.saving() && !packed.empty())
-        raw = ckpt::unpackImage(packed);
-    ar.io(raw);
-    if (ar.loading())
-        packed = raw.empty() ? std::move(raw) : ckpt::packImage(raw);
-}
 
 /** Flatten the chip's per-tile BBV histograms, tile-major. */
 std::vector<std::uint64_t>
@@ -50,21 +36,20 @@ IntervalProfiler::IntervalProfiler(sim::System &sys, ProfilerOptions opts)
                  "interval profiling needs SystemOptions::bbvBuckets");
     piton_assert(sys_.dvfsGovernor() == nullptr,
                  "interval profiling of governed runs is unsupported");
-    piton_assert(sys_.checkpointClient() == nullptr,
-                 "another checkpoint client is attached");
-    sys_.attachCheckpointClient(this);
     sys_.setWindowHook(
         [this](const sim::WindowObs &obs) { return onWindow(obs); });
-    snapshotStart();
+    arch::PitonChip &chip = sys_.pitonChip();
+    curStartInsns_ = chip.totalInsts();
+    curStartCycle_ = chip.now();
+    startLedger_ = chip.ledger().total();
+    prevBbv_ = flattenBbv(chip);
     if (opts_.captureImages)
-        pendingImage_ = captureImage();
+        pendingImage_ = ckpt::packImage(sys_.saveBytes());
 }
 
 IntervalProfiler::~IntervalProfiler()
 {
     sys_.setWindowHook({});
-    if (sys_.checkpointClient() == this)
-        sys_.attachCheckpointClient(nullptr);
 }
 
 sim::CompletionResult
@@ -131,8 +116,6 @@ IntervalProfiler::closeInterval(bool partial)
     rec.image = std::move(pendingImage_);
     pendingImage_.clear();
 
-    if (opts_.telemetry)
-        recordTelemetry(rec);
     intervals_.push_back(std::move(rec));
 
     // The current state is the next interval's start.
@@ -143,62 +126,7 @@ IntervalProfiler::closeInterval(bool partial)
     curWindows_ = 0;
     startLedger_ = chip.ledger().total();
     if (!partial && opts_.captureImages)
-        pendingImage_ = captureImage();
-}
-
-void
-IntervalProfiler::snapshotStart()
-{
-    arch::PitonChip &chip = sys_.pitonChip();
-    curStartInsns_ = chip.totalInsts();
-    curStartCycle_ = chip.now();
-    curSeconds_ = 0.0;
-    curIdleJ_ = 0.0;
-    curWindows_ = 0;
-    startLedger_ = chip.ledger().total();
-    prevBbv_ = flattenBbv(chip);
-}
-
-std::vector<std::uint8_t>
-IntervalProfiler::captureImage()
-{
-    // Detach for the capture: the image must describe the system alone,
-    // not the profiler (whose records hold earlier images — nesting
-    // them would grow each image quadratically in the interval count).
-    sys_.attachCheckpointClient(nullptr);
-    const std::vector<std::uint8_t> img = sys_.saveBytes();
-    sys_.attachCheckpointClient(this);
-    return ckpt::packImage(img);
-}
-
-void
-IntervalProfiler::recordTelemetry(const IntervalRecord &rec)
-{
-    telemetry::TelemetryRecorder *telem = sys_.telemetry();
-    if (telem == nullptr)
-        return;
-    namespace ts = telemetry::schema;
-    using telemetry::Downsample;
-    using telemetry::Unit;
-    if (!tids_.ready) {
-        // Lazy and idempotent (defineSeries dedups by name), as the
-        // governor's epoch series do.
-        tids_.insns = telem->defineSeries(ts::kSamplingIntervalInsns,
-                                          Unit::Count, Downsample::Sum);
-        tids_.cycles = telem->defineSeries(ts::kSamplingIntervalCycles,
-                                           Unit::Count, Downsample::Sum);
-        tids_.energyJ = telem->defineSeries(ts::kSamplingIntervalEnergyJ,
-                                            Unit::Joules, Downsample::Sum);
-        tids_.count = telem->defineSeries(ts::kSamplingIntervals,
-                                          Unit::Count, Downsample::Sum);
-        tids_.ready = true;
-    }
-    const double t = sys_.sampleClockS();
-    const double dt = rec.seconds;
-    telem->record(tids_.insns, t, dt, static_cast<double>(rec.insns));
-    telem->record(tids_.cycles, t, dt, static_cast<double>(rec.cycles));
-    telem->record(tids_.energyJ, t, dt, rec.energyJ());
-    telem->record(tids_.count, t, dt, 1.0);
+        pendingImage_ = ckpt::packImage(sys_.saveBytes());
 }
 
 std::uint64_t
@@ -226,77 +154,6 @@ IntervalProfiler::totalSeconds() const
     for (const auto &r : intervals_)
         s += r.seconds;
     return s;
-}
-
-void
-IntervalProfiler::serializeClient(ckpt::Archive &ar)
-{
-    // Profiling-parameter fingerprints: a resumed profile must cut
-    // intervals by the same rule or the records would diverge.
-    ar.ioExpect(opts_.intervalInsns, "sampling interval insns");
-    ar.ioExpect(opts_.captureImages, "sampling capture images");
-
-    ar.io(finished_);
-    ar.io(curStartInsns_);
-    ar.io(curStartCycle_);
-    ar.io(curSeconds_);
-    ar.io(curIdleJ_);
-    ar.io(curWindows_);
-    startLedger_.serialize(ar);
-
-    std::uint64_t nb = ar.ioSize(prevBbv_.size(), 8);
-    const arch::PitonChip &chip = sys_.pitonChip();
-    ar.check(nb == std::uint64_t{chip.bbvBuckets()} * chip.params().tileCount,
-             "sampling BBV snapshot does not match the chip");
-    if (ar.loading())
-        prevBbv_.resize(static_cast<std::size_t>(nb));
-    for (auto &v : prevBbv_)
-        ar.io(v);
-
-    ioPackedImage(ar, pendingImage_);
-
-    std::uint64_t nr = ar.ioSize(intervals_.size(), 1);
-    if (ar.loading())
-        intervals_.resize(static_cast<std::size_t>(nr));
-    for (auto &rec : intervals_) {
-        ar.io(rec.startInsns);
-        ar.io(rec.startCycle);
-        ar.io(rec.insns);
-        ar.io(rec.cycles);
-        ar.io(rec.seconds);
-        ar.io(rec.activeJ);
-        ar.io(rec.idleJ);
-        ar.io(rec.windows);
-        ar.io(rec.partial);
-        std::vector<std::uint64_t> bbv;
-        if (ar.saving())
-            bbv = rec.bbv.toDense();
-        std::uint64_t nv = ar.ioSize(bbv.size(), 8);
-        if (ar.loading())
-            bbv.resize(static_cast<std::size_t>(nv));
-        for (auto &v : bbv)
-            ar.io(v);
-        if (ar.loading())
-            rec.bbv = SparseBbv::fromDense(bbv);
-        ioPackedImage(ar, rec.image);
-    }
-    if (ar.loading())
-        tids_.ready = false; // re-resolve against whatever is attached
-}
-
-void
-IntervalProfiler::rebaseline(sim::System &sys)
-{
-    piton_assert(&sys == &sys_, "rebaseline against a foreign system");
-    // The restored image carried no profiler state: restart profiling
-    // from the restored counters, like the telemetry re-baseline.
-    intervals_.clear();
-    finished_ = false;
-    tids_.ready = false;
-    snapshotStart();
-    pendingImage_.clear();
-    if (opts_.captureImages)
-        pendingImage_ = captureImage();
 }
 
 } // namespace piton::sampling

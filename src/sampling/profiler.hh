@@ -14,8 +14,7 @@
  * commutative integers bumped at retire — both identical under the
  * fast/legacy engines, so the profile (and everything derived from it:
  * clustering, slice selection, stitched estimates) is bit-identical
- * across engines and across checkpoint save/resume of the profiling
- * run itself.
+ * across engines.
  */
 
 #ifndef PITON_SAMPLING_PROFILER_HH
@@ -41,10 +40,6 @@ struct ProfilerOptions
     /** Capture a checkpoint image at each interval start (required for
      *  sampled replay; off for profile-only analyses). */
     bool captureImages = true;
-
-    /** Record the sampling.* series into the System's attached
-     *  telemetry recorder at each interval close. */
-    bool telemetry = true;
 };
 
 /** One closed profiling interval. */
@@ -73,24 +68,17 @@ struct IntervalRecord
 };
 
 /**
- * Attaches to a System as its window hook + checkpoint client and
- * accumulates IntervalRecords while the system runs.  The system must
- * have BBV profiling enabled (SystemOptions::bbvBuckets != 0) and no
- * governor attached.  Detaches itself on destruction.
- *
- * Checkpointing a profiling run mid-flight stores the profiler's full
- * state (closed records, in-progress accumulators, pending image) in
- * the optional sys.sampling section; construct a fresh System +
- * profiler and restore to continue bit-identically.  Restoring an
- * image without the section restarts profiling at the restored state.
- * The section keeps the dense layout (full BBV vectors, unpacked
- * images): save densifies and unpacks, load sparsifies and packs.
+ * Attaches to a System as its window hook and accumulates
+ * IntervalRecords while the system runs.  The system must have BBV
+ * profiling enabled (SystemOptions::bbvBuckets != 0) and no governor
+ * attached.  Detaches itself on destruction.  The profiler observes the
+ * system; its own state is not part of the system's checkpoints.
  */
-class IntervalProfiler : public sim::CheckpointClient
+class IntervalProfiler
 {
   public:
     IntervalProfiler(sim::System &sys, ProfilerOptions opts);
-    ~IntervalProfiler() override;
+    ~IntervalProfiler();
     IntervalProfiler(const IntervalProfiler &) = delete;
     IntervalProfiler &operator=(const IntervalProfiler &) = delete;
 
@@ -115,30 +103,15 @@ class IntervalProfiler : public sim::CheckpointClient
     double totalEnergyJ() const;
     double totalSeconds() const;
 
-    // ---- CheckpointClient --------------------------------------------
-    const char *checkpointSection() const override
-    {
-        return "sys.sampling";
-    }
-    void serializeClient(ckpt::Archive &ar) override;
-    void rebaseline(sim::System &sys) override;
-
   private:
     bool onWindow(const sim::WindowObs &obs);
     void closeInterval(bool partial);
-    /** Re-aim the in-progress interval at the system's current state. */
-    void snapshotStart();
-    /** Packed checkpoint of the system with this client detached (a
-     *  profiler image inside a profiler record would nest
-     *  quadratically). */
-    std::vector<std::uint8_t> captureImage();
-    void recordTelemetry(const IntervalRecord &rec);
 
     sim::System &sys_;
     ProfilerOptions opts_;
     std::vector<IntervalRecord> intervals_;
 
-    // In-progress interval accumulators (checkpointed).
+    // In-progress interval accumulators.
     std::uint64_t curStartInsns_ = 0;
     Cycle curStartCycle_ = 0;
     double curSeconds_ = 0.0;
@@ -150,13 +123,6 @@ class IntervalProfiler : public sim::CheckpointClient
     /** Packed image captured at the current interval's start. */
     std::vector<std::uint8_t> pendingImage_;
     bool finished_ = false;
-
-    /** sampling.* series ids, resolved lazily at the first close. */
-    struct Tids
-    {
-        bool ready = false;
-        std::size_t insns, cycles, energyJ, count;
-    } tids_{};
 };
 
 } // namespace piton::sampling

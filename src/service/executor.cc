@@ -222,7 +222,6 @@ runEnergy(const ExperimentRequest &req, const RunControl &ctl)
     sampling::ProfilerOptions popts;
     popts.intervalInsns = req.sampledIntervalInsns;
     popts.captureImages = true;
-    popts.telemetry = false;
     sampling::IntervalProfiler prof(sys, popts);
     const sim::CompletionResult r = prof.run(req.maxCycles);
     if (!r.completed) {

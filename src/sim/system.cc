@@ -807,18 +807,6 @@ System::serializeSystem(ckpt::Archive &ar)
         }
     }
 
-    // Extension-client state (the sampling interval profiler today,
-    // DESIGN.md §14) rides along only while a client is attached; same
-    // attach-before-restore contract as the recorder below.
-    const bool do_client =
-        client_ != nullptr
-        && (ar.saving() || ar.hasSection(client_->checkpointSection()));
-    if (do_client) {
-        ar.beginSection(client_->checkpointSection());
-        client_->serializeClient(ar);
-        ar.endSection();
-    }
-
     // Recorder contents ride along only when one is attached at save
     // time; on restore the section is applied only if a recorder is
     // attached to receive it (attach first, then restore).
@@ -847,8 +835,7 @@ System::save(const std::string &path)
 }
 
 void
-System::restoreBytes(const std::vector<std::uint8_t> &bytes,
-                     bool mark_telemetry_event)
+System::restoreBytes(const std::vector<std::uint8_t> &bytes)
 {
     ckpt::Archive ar = ckpt::Archive::forLoad(bytes);
     serializeSystem(ar);
@@ -864,27 +851,12 @@ System::restoreBytes(const std::vector<std::uint8_t> &bytes,
     // restored counters (the nominal operating point still applies).
     if (gov_ != nullptr && !ar.hasSection("sys.governor"))
         snapshotGovernorBaselines();
-    // And the extension client: an image without its section restarts
-    // the client on the restored counters.
-    if (client_ != nullptr
-        && !ar.hasSection(client_->checkpointSection()))
-        client_->rebaseline(*this);
-    if (mark_telemetry_event && telem_) {
-        const std::size_t id =
-            telem_->defineSeries(telemetry::schema::kEventRestore,
-                                 telemetry::Unit::Count,
-                                 telemetry::Downsample::Sum);
-        telem_->record(id, sampleClockS_,
-                       static_cast<double>(opts_.cyclesPerSample)
-                           / coreClockHz(),
-                       1.0);
-    }
 }
 
 void
-System::restore(const std::string &path, bool mark_telemetry_event)
+System::restore(const std::string &path)
 {
-    restoreBytes(ckpt::readFile(path), mark_telemetry_event);
+    restoreBytes(ckpt::readFile(path));
 }
 
 } // namespace piton::sim

@@ -106,8 +106,6 @@ struct CompletionResult
     double idleEnergyJ = 0.0;
 };
 
-class System;
-
 /** One recorded run window, as observed by a WindowHook. */
 struct WindowObs
 {
@@ -127,26 +125,6 @@ struct WindowObs
  */
 using WindowHook = std::function<bool(const WindowObs &)>;
 
-/**
- * A subsystem that rides along in System checkpoints (the sampling
- * profiler is the one client today).  Mirrors the telemetry/governor
- * contract: the client's section is written only while attached, and
- * restoring an image without the section re-baselines the client on the
- * restored state instead (attach first, then restore).
- */
-class CheckpointClient
-{
-  public:
-    virtual ~CheckpointClient() = default;
-    /** Archive section name, e.g. "sys.sampling"; must be stable. */
-    virtual const char *checkpointSection() const = 0;
-    /** Symmetric field I/O for the client's state. */
-    virtual void serializeClient(ckpt::Archive &ar) = 0;
-    /** Restored an image with no client section: restart from the
-     *  restored counters (like snapshotTelemetryBaselines). */
-    virtual void rebaseline(System &sys) = 0;
-};
-
 class System
 {
   public:
@@ -165,8 +143,6 @@ class System
     /** Current core clock.  Equal to the configured clock unless a
      *  governor has actuated a different operating point. */
     double coreClockHz() const { return mhzToHz(effClockMhz_); }
-    double effectiveClockMhz() const { return effClockMhz_; }
-    double effectiveVddV() const { return effVddV_; }
 
     /**
      * Steady-state measurement per the paper's protocol: run the warmup
@@ -238,14 +214,6 @@ class System
      *  run, so hooked runs are otherwise bit-identical. */
     void setWindowHook(WindowHook hook) { windowHook_ = std::move(hook); }
 
-    /** Attach/detach (nullptr) the checkpoint extension client whose
-     *  state rides along in saveBytes (see CheckpointClient). */
-    void attachCheckpointClient(CheckpointClient *client)
-    {
-        client_ = client;
-    }
-    CheckpointClient *checkpointClient() const { return client_; }
-
     /** Tiles duty-gated for the window currently being set up/run. */
     std::uint32_t gatedTileCount() const { return gatedTiles_; }
 
@@ -271,14 +239,8 @@ class System
     std::vector<std::uint8_t> saveBytes();
     void save(const std::string &path);
 
-    /** Restore from a checkpoint image.  `mark_telemetry_event`
-     *  additionally records a schema::kEventRestore sample at the
-     *  resume time (opt-in: it breaks byte-identity with an
-     *  uninterrupted run's export by design). */
-    void restoreBytes(const std::vector<std::uint8_t> &bytes,
-                      bool mark_telemetry_event = false);
-    void restore(const std::string &path,
-                 bool mark_telemetry_event = false);
+    void restoreBytes(const std::vector<std::uint8_t> &bytes);
+    void restore(const std::string &path);
 
   private:
     /** Shared body of saveBytes/restoreBytes. */
@@ -352,7 +314,6 @@ class System
 
     telemetry::TelemetryRecorder *telem_ = nullptr;
     WindowHook windowHook_;
-    CheckpointClient *client_ = nullptr;
     double sampleClockS_ = 0.0;
     /** Series indices into telem_, resolved once at attach. */
     struct TelemetryIds

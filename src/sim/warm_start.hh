@@ -21,12 +21,10 @@
 #define PITON_SIM_WARM_START_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "sim/system.hh"
 
 namespace piton::sim
@@ -100,19 +98,6 @@ class SweepWarmStart
         sys->attachTelemetry(&rec);
         sys->restoreBytes(*bytes_);
         return sys;
-    }
-
-    /** Run fn(i, fork) for i in [0, n) across `threads` workers; each
-     *  point gets its own fork, so iterations are independent and the
-     *  results are bit-identical at any thread count. */
-    void
-    forEachPoint(std::size_t n, unsigned threads,
-                 const std::function<void(std::size_t, System &)> &fn) const
-    {
-        parallelFor(n, threads, [&](std::size_t i) {
-            const std::unique_ptr<System> sys = fork();
-            fn(i, *sys);
-        });
     }
 
   private:

@@ -67,25 +67,4 @@ sumPoints(const std::vector<SamplePoint> &pts)
     return s;
 }
 
-std::vector<double>
-windowedRates(const std::vector<SamplePoint> &pts)
-{
-    std::vector<double> out;
-    out.reserve(pts.size());
-    for (const auto &p : pts)
-        out.push_back(p.value / p.dtS);
-    return out;
-}
-
-EnergySplit
-decomposeStaticDynamic(const std::vector<SamplePoint> &onchip,
-                       const std::vector<SamplePoint> &leak)
-{
-    EnergySplit s;
-    s.totalJ = integratePoints(onchip);
-    s.staticJ = integratePoints(leak);
-    s.dynamicJ = s.totalJ - s.staticJ;
-    return s;
-}
-
 } // namespace piton::telemetry

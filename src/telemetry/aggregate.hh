@@ -1,9 +1,7 @@
 /**
  * @file
  * Aggregation layer over telemetry series: summary statistics
- * (min/max/mean/stddev/percentiles), time integrals, windowed rates,
- * and the static-vs-dynamic power decomposition the paper reports for
- * every rail measurement.
+ * (min/max/mean/stddev/percentiles), time integrals and sums.
  *
  * The mean/stddev reduction replays RunningStats' Welford update in the
  * same sample order, so an aggregate over a measured telemetry series
@@ -47,21 +45,6 @@ double integratePoints(const std::vector<SamplePoint> &pts);
 
 /** Plain sum of the values (delta/count series). */
 double sumPoints(const std::vector<SamplePoint> &pts);
-
-/** Per-point windowed rate value/dt (count deltas in, Hz out). */
-std::vector<double> windowedRates(const std::vector<SamplePoint> &pts);
-
-/** Static (leakage) vs dynamic energy split of an on-chip power series
- *  against its leakage series, both integrated over the same windows. */
-struct EnergySplit
-{
-    double staticJ = 0.0;  ///< integral of the leakage series
-    double dynamicJ = 0.0; ///< total minus static
-    double totalJ = 0.0;   ///< integral of the on-chip power series
-};
-
-EnergySplit decomposeStaticDynamic(const std::vector<SamplePoint> &onchip,
-                                   const std::vector<SamplePoint> &leak);
 
 } // namespace piton::telemetry
 

@@ -64,12 +64,6 @@ inline constexpr const char *kChipActiveThreads = "chip.active_threads";
 inline constexpr const char *kTilePrefix = "tile";
 inline constexpr const char *kTileCoreSuffix = ".core_j";
 
-/** Checkpoint-restore boundary marker (value 1.0 at the resume time;
- *  recorded only when System::restore is asked to mark the boundary —
- *  marking is opt-in because it breaks byte-identity with an
- *  uninterrupted run's export by design). */
-inline constexpr const char *kEventRestore = "event.restore";
-
 /** Closed-loop DVFS governor trace (sim::System, one sample per
  *  control epoch; DESIGN.md §13).  freq/vdd are the operating point
  *  commanded *after* the epoch's control decision; power_w is the
@@ -86,18 +80,6 @@ inline constexpr const char *kGovernorEpochs = "governor.epochs";
 inline constexpr const char *kSweepPowerW = "sweep.power_w";
 inline constexpr const char *kSweepPackageC = "sweep.package_c";
 inline constexpr const char *kSweepFan = "sweep.fan_effectiveness";
-
-/** Interval-profiler trace (sampling::IntervalProfiler, one sample per
- *  closed interval; DESIGN.md §14).  The time axis is the sample
- *  clock at interval close; interval_insns/cycles/energy_j are the
- *  interval's own totals, intervals is a running count marker. */
-inline constexpr const char *kSamplingIntervalInsns =
-    "sampling.interval_insns";
-inline constexpr const char *kSamplingIntervalCycles =
-    "sampling.interval_cycles";
-inline constexpr const char *kSamplingIntervalEnergyJ =
-    "sampling.interval_energy_j";
-inline constexpr const char *kSamplingIntervals = "sampling.intervals";
 
 /** Experiment-service metrics (service::ExperimentScheduler): the time
  *  axis is the export sequence number (dt = 1), gauges sampled at

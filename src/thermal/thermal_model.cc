@@ -25,12 +25,6 @@ ThermalModel::setFanEffectiveness(double eff)
 }
 
 void
-ThermalModel::setHasHeatSink(bool has)
-{
-    params_.hasHeatSink = has;
-}
-
-void
 ThermalModel::reset()
 {
     state_.dieC = params_.ambientC;

@@ -69,7 +69,6 @@ class ThermalModel
 
     const ThermalParams &params() const { return params_; }
     void setFanEffectiveness(double eff);
-    void setHasHeatSink(bool has);
 
     /** Reset all nodes to ambient. */
     void reset();
@@ -88,8 +87,8 @@ class ThermalModel
     /** Set state directly (e.g. to start from a known condition). */
     void setState(const ThermalState &s) { state_ = s; }
 
-    /** Checkpoint hook: parameters (setFanEffectiveness and
-     *  setHasHeatSink mutate them mid-run) plus node temperatures. */
+    /** Checkpoint hook: parameters (setFanEffectiveness mutates them
+     *  mid-run) plus node temperatures. */
     template <typename Ar>
     void
     serialize(Ar &ar)

@@ -37,7 +37,6 @@
 #include "sim/warm_start.hh"
 #include "telemetry/export.hh"
 #include "telemetry/recorder.hh"
-#include "telemetry/schema.hh"
 #include "workloads/microbenchmarks.hh"
 
 namespace
@@ -1419,25 +1418,7 @@ TEST(CheckpointGoverned, GovernedImageRestoresUngoverned)
     EXPECT_EQ(sys.gatedTileCount(), 0u);
 }
 
-// ---- restore marker and warm-start semantics -------------------------
-
-TEST(CheckpointTelemetry, RestoreMarkerIsOptIn)
-{
-    const auto bytes = smallImage();
-
-    sim::System plain(optsFor(true));
-    telemetry::TelemetryRecorder plain_rec;
-    plain.attachTelemetry(&plain_rec);
-    plain.restoreBytes(bytes);
-    EXPECT_EQ(plain_rec.find(telemetry::schema::kEventRestore), nullptr);
-
-    sim::System marked(optsFor(true));
-    telemetry::TelemetryRecorder marked_rec;
-    marked.attachTelemetry(&marked_rec);
-    marked.restoreBytes(bytes, /*mark_telemetry_event=*/true);
-    ASSERT_NE(marked_rec.find(telemetry::schema::kEventRestore), nullptr);
-    EXPECT_EQ(marked_rec.sum(telemetry::schema::kEventRestore), 1.0);
-}
+// ---- warm-start semantics ------------------------------------------
 
 TEST(CheckpointWarmStart, ForksMatchEachOtherAndColdRun)
 {

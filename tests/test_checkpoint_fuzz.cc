@@ -1,11 +1,12 @@
 /**
  * @file
  * Whole-image checkpoint mutation fuzz.  Two real System images, each
- * of a 4-tile x 2 T/C Hist run: one under a DVFS governor and one
- * under an IntervalProfiler (the profiler refuses a governed System,
- * so one image cannot carry both sections).  Seeded mutations of the
- * payload bytes of every section, CRC fixed up each time so the bytes
- * reach the decoders, must either
+ * of a 4-tile x 2 T/C Hist run: one under a DVFS governor (with its
+ * sys.governor section) and one interval-start image of an
+ * IntervalProfiler, unpacked (with its chip.bbv section), which is
+ * what a sampled run restores into a plain System for each slice.
+ * Seeded mutations of the payload bytes of every section, CRC fixed up
+ * each time so the bytes reach the decoders, must either
  *
  *  - throw CheckpointError, after which restoring the unmutated image
  *    into the same System re-saves it byte for byte (a rejected
@@ -136,13 +137,14 @@ sampling::ProfilerOptions
 profilerOptions()
 {
     sampling::ProfilerOptions p;
-    p.intervalInsns = 10'000;
-    p.captureImages = false; // keep the section to the profiler's own state
+    p.intervalInsns = 2'000; // several close within kWindowsBeforeSave
     return p;
 }
 
-/** A System set up as the image's writer was: the governor or the
- *  profiler attached before any restore, as the API requires. */
+/** A System set up as the image's reader is: a governed image restores
+ *  into a System with the governor attached first, as the API
+ *  requires; an interval image into a plain System, as a sampled run's
+ *  slice forks do. */
 struct Target
 {
     explicit Target(bool governed) : sys(fuzzOptions())
@@ -150,17 +152,16 @@ struct Target
         if (governed) {
             gov = governor::makeGovernor(governorParams());
             sys.attachGovernor(gov.get());
-        } else {
-            prof = std::make_unique<sampling::IntervalProfiler>(
-                sys, profilerOptions());
         }
     }
 
     sim::System sys;
     std::unique_ptr<governor::Governor> gov;
-    std::unique_ptr<sampling::IntervalProfiler> prof;
 };
 
+/** The governed run's image after kWindowsBeforeSave windows, or the
+ *  unpacked start image of the last interval the profiler closed in
+ *  those windows. */
 std::vector<std::uint8_t>
 baseImage(bool governed)
 {
@@ -169,18 +170,25 @@ baseImage(bool governed)
         t.sys, workloads::Microbench::Hist, kTiles, kThreadsPerCore, 0);
     const Cycle cycles =
         kWindowsBeforeSave * t.sys.options().cyclesPerSample;
-    const sim::CompletionResult res =
-        t.prof ? t.prof->run(cycles) : t.sys.runToCompletion(cycles);
-    EXPECT_FALSE(res.completed);
-    return t.sys.saveBytes();
+    if (governed) {
+        EXPECT_FALSE(t.sys.runToCompletion(cycles).completed);
+        return t.sys.saveBytes();
+    }
+    sampling::IntervalProfiler prof(t.sys, profilerOptions());
+    EXPECT_FALSE(prof.run(cycles).completed);
+    EXPECT_GE(prof.intervals().size(), 2u);
+    if (prof.intervals().empty())
+        return {};
+    return ckpt::unpackImage(prof.intervals().back().image);
 }
 
 void
 fuzzImage(bool governed, std::uint64_t seed)
 {
     const std::vector<std::uint8_t> base = baseImage(governed);
+    ASSERT_FALSE(base.empty());
     const std::vector<Section> sections = sectionsOf(base);
-    const std::string want = governed ? "sys.governor" : "sys.sampling";
+    const std::string want = governed ? "sys.governor" : "chip.bbv";
     bool found = false;
     for (const Section &s : sections)
         found = found || s.name == want;

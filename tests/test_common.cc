@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -265,6 +267,31 @@ TEST(NumericFlag, ParseFlagBoundsByTheDestinationType)
                 ::testing::ExitedWithCode(2), "--chip");
     EXPECT_EXIT(parseFlag(port, "prog", "--port", nullptr),
                 ::testing::ExitedWithCode(2), "missing value for --port");
+}
+
+TEST(NumericFlag, WorkerCountsAreCappedPerHardwareThread)
+{
+    EXPECT_EQ(maxWorkerThreads(1), kWorkersPerHardwareThread);
+    EXPECT_EQ(maxWorkerThreads(4), 4 * kWorkersPerHardwareThread);
+    // An unknown hardware_concurrency() (0) still allows some workers.
+    EXPECT_EQ(maxWorkerThreads(0), kWorkersPerHardwareThread);
+    EXPECT_EQ(maxWorkerThreads(), maxWorkerThreads(
+                                      std::thread::hardware_concurrency()));
+
+    // The tools' --threads: 0 (all hardware threads) and the cap parse;
+    // one above it, or the old 32-bit maximum, exits with 2.
+    const unsigned cap = maxWorkerThreads(2);
+    unsigned threads = 99;
+    parseFlag(threads, "prog", "--threads", "0", cap);
+    EXPECT_EQ(threads, 0u);
+    parseFlag(threads, "prog", "--threads", std::to_string(cap).c_str(), cap);
+    EXPECT_EQ(threads, cap);
+    EXPECT_EXIT(parseFlag(threads, "prog", "--threads",
+                          std::to_string(cap + 1).c_str(), cap),
+                ::testing::ExitedWithCode(2),
+                "bad numeric value for --threads");
+    EXPECT_EXIT(parseFlag(threads, "prog", "--threads", "4294967295", cap),
+                ::testing::ExitedWithCode(2), "--threads");
 }
 
 } // namespace

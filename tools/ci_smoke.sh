@@ -69,6 +69,14 @@ expect_usage_error "$tools/piton-servectl" --port 65536 ping
 expect_usage_error "$tools/piton-searchctl" minimize-epi --budget 4294967297
 expect_usage_error "$tools/piton-searchctl" minimize-epi --chip 2147483648
 
+# A bench rejects a flag it does not read (checkpoint and governor
+# flags are allowed only where they are read), and
+# bench_ablation_warmstart's --checkpoint-every needs --checkpoint-out.
+step "benches: flags a bench does not read exit 2"
+expect_usage_error "$bench/bench_fig10_static_idle" --resume-from x
+expect_usage_error "$bench/bench_fig10_static_idle" --governor none
+expect_usage_error "$bench/bench_ablation_warmstart" --checkpoint-every 3
+
 # The daemon runs for the whole exchange; a sanitizer finding aborts
 # it, which fails the final `wait`.  The burst covers: liveness (ping),
 # deadline expiry of a queued request, cold/warm byte-identity

@@ -9,7 +9,7 @@
  *
  * Backend selection (the service behind the evaluation oracle):
  *   (default)      an in-process ExperimentScheduler with --threads N
- *                  workers (default 1)
+ *                  workers (default 1; at most 8 per hardware thread)
  *   --port N       one piton-served worker (pipelined TCP)
  *
  * Search options:
@@ -195,7 +195,7 @@ main(int argc, char **argv)
             task.objective.deadlineS = doubleValue(argv[0], next);
             ++i;
         } else if (std::strcmp(a, "--threads") == 0) {
-            parseFlag(threads, argv[0], a, next);
+            parseFlag(threads, argv[0], a, next, maxWorkerThreads());
             ++i;
         } else if (std::strcmp(a, "--port") == 0) {
             parseFlag(port, argv[0], a, next);

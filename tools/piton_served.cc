@@ -11,7 +11,8 @@
  * Flags:
  *   --port N          listening port (default 7425; 0 = ephemeral,
  *                     printed on stdout for scripting)
- *   --threads N       worker threads (0 = all hardware threads)
+ *   --threads N       worker threads (0 = all hardware threads; at most
+ *                     8 per hardware thread, see maxWorkerThreads)
  *   --max-pending N   admission bound before requests are shed
  *   --cache-dir DIR   spill cached results to DIR (survives restarts)
  *   --worker-id ID    identity in StatsReply (default worker-<port>;
@@ -73,7 +74,8 @@ main(int argc, char **argv)
             parseFlag(cfg.port, argv[0], a, next);
             ++i;
         } else if (std::strcmp(a, "--threads") == 0) {
-            parseFlag(cfg.scheduler.threads, argv[0], a, next);
+            parseFlag(cfg.scheduler.threads, argv[0], a, next,
+                      maxWorkerThreads());
             ++i;
         } else if (std::strcmp(a, "--max-pending") == 0) {
             parseFlag(cfg.scheduler.maxPending, argv[0], a, next);
