@@ -18,6 +18,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/vf_experiments.hh"
 #include "governor/scenario.hh"
@@ -62,11 +63,12 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    std::string policy, scenario;
+    CommandLine()
+        .choice("--governor", policy, governor::governorPolicyNames())
+        .text("--scenario", scenario, "FILE")
+        .parse(argc, argv);
     bench::banner("Extension", "Energy-optimal DVFS operating point");
-    const bench::BenchArgs args = bench::parseBenchArgs(
-        argc, argv, 16, 1, {}, 0, {"--governor", "--scenario"});
-    const std::string policy = args.optionValue("--governor");
-    const std::string scenario = args.optionValue("--scenario");
 
     if (!scenario.empty()) {
         const governor::Scenario sc = governor::Scenario::fromFile(scenario);

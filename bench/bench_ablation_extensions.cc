@@ -16,6 +16,7 @@
 #include "bench_util.hh"
 #include "chip/chip_instance.hh"
 #include "chip/yield_model.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "isa/assembler.hh"
 
@@ -120,8 +121,9 @@ repairStudy()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    piton::CommandLine().parse(argc, argv);
     bench::banner("Ablation",
                   "ExecD / CDR / SRAM-repair feature studies");
     execDraftingStudy();

@@ -12,13 +12,15 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "sim/system.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Ablation", "Monitor samples/noise vs error bars");
 
     std::cout << "Sample-count sweep (paper protocol: 128):\n";

@@ -11,14 +11,16 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "multichip/multichip.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Extension", "Multi-socket shared-memory ladder");
 
     // The extended ladder on a 2-socket system.

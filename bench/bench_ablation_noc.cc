@@ -12,14 +12,16 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/equations.hh"
 #include "sim/system.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Ablation", "NoC link energy vs chip power share");
 
     TextTable t({"Link-energy scale", "FSW EPF slope (pJ/hop)",

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/power_cap.hh"
 #include "governor/scenario.hh"
@@ -47,10 +48,15 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    std::uint32_t samples = 16;
+    std::string out_dir;
+    CommandLine()
+        .count("--samples", samples, 1)
+        .text("--out", out_dir, "DIR")
+        .parse(argc, argv);
     bench::banner("Extension", "Power capping from the characterization");
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv, 16);
 
-    core::PowerCapExperiment exp(sim::SystemOptions{}, args.samples);
+    core::PowerCapExperiment exp(sim::SystemOptions{}, samples);
 
     std::cout << "Static capping (HP, 2 T/C):\n";
     TextTable t({"Cap (W)", "Max cores", "Power (W)", "Headroom (mW)"});
@@ -99,9 +105,9 @@ main(int argc, char **argv)
               << " ms settle phase; the static answer at this cap is "
               << exp.maxCoresUnderCap(sc.gov.capW).maxCores
               << " cores.\n";
-    if (!args.outDir.empty()) {
-        telemetry::exportTelemetry(args.outDir, "powercap", rec);
-        std::cout << "\ntelemetry: " << args.outDir
+    if (!out_dir.empty()) {
+        telemetry::exportTelemetry(out_dir, "powercap", rec);
+        std::cout << "\ntelemetry: " << out_dir
                   << "/powercap.{csv,jsonl} (" << rec.seriesCount()
                   << " series)\n";
     }

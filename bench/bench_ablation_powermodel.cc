@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/power_model_fit.hh"
 #include "isa/assembler.hh"
@@ -18,9 +19,9 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    std::uint32_t samples = 24;
+    CommandLine().count("--samples", samples, 1).parse(argc, argv);
     bench::banner("Extension", "Fit a power model from measurements");
-    const std::uint32_t samples =
-        bench::parseBenchArgs(argc, argv, 24).samples;
 
     core::PowerModelFit fitter(sim::SystemOptions{}, samples);
     std::cout << "collecting the training set (single-class loops, two "

@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -45,6 +44,7 @@
 
 #include "bench_util.hh"
 #include "checkpoint/archive.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "isa/program.hh"
 #include "sampling/cluster.hh"
@@ -90,22 +90,23 @@ wallS(Clock::time_point t0)
 int
 main(int argc, char **argv)
 {
-    bench::banner("Ablation", "Sampled simulation (phase clustering)");
     // --samples here is the phased kernel's outer repetition count: 96
     // reps give ~325 intervals, enough for the 8 slices to amortize to
     // a >10x wall-clock win (CI runs a smaller 24-rep smoke).
-    const bench::BenchArgs args = bench::parseBenchArgs(
-        argc, argv, /*def_samples=*/96, /*def_threads=*/0,
-        {"--sampled", "--verify"}, 0, {"--interval-insns", "--max-slices"});
-    const std::uint64_t reps = args.samples; // outer phase repetitions
-    const bool sampled_only = args.hasFlag("--sampled");
-    const bool verify = args.hasFlag("--verify");
-    const std::uint64_t interval_insns = static_cast<std::uint64_t>(
-        std::strtoull(args.optionValue("--interval-insns", "100000").c_str(),
-                      nullptr, 10));
-    const std::uint32_t max_slices = static_cast<std::uint32_t>(
-        std::strtoul(args.optionValue("--max-slices", "8").c_str(), nullptr,
-                     10));
+    std::uint32_t reps = 96;
+    std::uint64_t interval_insns = 100000;
+    sampling::SampledOptions sopts;
+    sopts.threads = 0;
+    bool sampled_only = false, verify = false;
+    CommandLine()
+        .count("--samples", reps, 1)
+        .count("--threads", sopts.threads, 0, maxWorkerThreads())
+        .flag("--sampled", sampled_only)
+        .flag("--verify", verify)
+        .count("--interval-insns", interval_insns, 1)
+        .count("--max-slices", sopts.maxSlices, 1)
+        .parse(argc, argv);
+    bench::banner("Ablation", "Sampled simulation (phase clustering)");
 
     sim::SystemOptions opts;
     opts.bbvBuckets = 128;
@@ -176,9 +177,6 @@ main(int argc, char **argv)
                 packed_b, unpacked_b, packed_ratio, bbv_b);
 
     // Cluster + replay + stitch.
-    sampling::SampledOptions sopts;
-    sopts.maxSlices = max_slices;
-    sopts.threads = args.threads;
     const auto ts = Clock::now();
     const sampling::SampledEstimate est =
         sampling::runSampled(prof.intervals(), opts, sopts);

@@ -11,15 +11,17 @@
 #include "arch/mem_system.hh"
 #include "arch/memory.hh"
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "config/piton_params.hh"
 #include "power/energy_model.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Ablation", "Line->slice mapping vs locality");
 
     TextTable t({"Mapping", "Distinct homes (4 MB array)",

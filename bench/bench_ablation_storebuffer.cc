@@ -13,13 +13,15 @@
 #include "arch/piton_chip.hh"
 #include "bench_util.hh"
 #include "chip/chip_instance.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "isa/program.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Ablation", "Store-buffer depth vs rollback energy");
 
     TextTable t({"Entries", "Stores", "Rollbacks", "Rollbacks/store",

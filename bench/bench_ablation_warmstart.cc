@@ -35,6 +35,7 @@
 
 #include "bench_util.hh"
 #include "checkpoint/archive.hh"
+#include "common/cli.hh"
 #include "common/parallel.hh"
 #include "common/table.hh"
 #include "sim/system.hh"
@@ -175,24 +176,24 @@ int
 main(int argc, char **argv)
 {
     using Clock = std::chrono::steady_clock;
-    bench::banner("Ablation", "Warm-started sweep from a checkpoint");
-
-    const bench::BenchArgs args = bench::parseBenchArgs(
-        argc, argv, /*def_samples=*/16, /*def_threads=*/0,
-        {"--cold", "--verify"}, 0,
-        {"--checkpoint-every", "--checkpoint-out", "--resume-from"});
-    const std::uint32_t windows = args.samples;
-    const bool cold_only = args.hasFlag("--cold");
-    const bool verify = args.hasFlag("--verify");
-    const std::string resume_from = args.optionValue("--resume-from");
-    const std::string checkpoint_out = args.optionValue("--checkpoint-out");
-    const auto checkpoint_every =
-        static_cast<std::uint32_t>(bench::detail::numericValue(
-            argv[0], "--checkpoint-every",
-            args.optionValue("--checkpoint-every", "0").c_str()));
+    std::uint32_t windows = 16;
+    unsigned threads = 0;
+    std::string out_dir, resume_from, checkpoint_out;
+    std::uint32_t checkpoint_every = 0;
+    bool cold_only = false, verify = false;
+    CommandLine cli;
+    cli.count("--samples", windows, 1)
+        .count("--threads", threads, 0, maxWorkerThreads())
+        .text("--out", out_dir, "DIR")
+        .flag("--cold", cold_only)
+        .flag("--verify", verify)
+        .count("--checkpoint-every", checkpoint_every)
+        .text("--checkpoint-out", checkpoint_out, "FILE")
+        .text("--resume-from", resume_from, "FILE")
+        .parse(argc, argv);
     if (checkpoint_every > 0 && checkpoint_out.empty())
-        bench::detail::usageError(argv[0], "--checkpoint-every requires",
-                                  "--checkpoint-out");
+        cli.fail("--checkpoint-every requires --checkpoint-out");
+    bench::banner("Ablation", "Warm-started sweep from a checkpoint");
 
     std::vector<PointResult> warm, cold;
     double warm_s = 0.0, cold_s = 0.0;
@@ -216,19 +217,19 @@ main(int argc, char **argv)
             std::cout << "prefix checkpoint (" << ws.bytes().size()
                       << " bytes) -> " << checkpoint_out << '\n';
         }
-        warm = runWarm(ws, windows, args.threads);
+        warm = runWarm(ws, windows, threads);
         warm_s = std::chrono::duration<double>(Clock::now() - t0).count();
         printResults("Warm-start", warm, warm_s);
     }
 
     if (cold_only || verify) {
         const auto t0 = Clock::now();
-        cold = runCold(windows, args.threads);
+        cold = runCold(windows, threads);
         cold_s = std::chrono::duration<double>(Clock::now() - t0).count();
         printResults("Cold (prefix per point)", cold, cold_s);
     }
 
-    if (!args.outDir.empty()) {
+    if (!out_dir.empty()) {
         // Re-run point 0 serially to export a representative telemetry
         // file (recorders live inside the parallel region above).
         telemetry::TelemetryRecorder rec;
@@ -236,7 +237,7 @@ main(int argc, char **argv)
         const auto programs = runPrefix(sys);
         sys.attachTelemetry(&rec);
         runPoint(sys, rec, kFanPoints[0], windows);
-        telemetry::exportTelemetry(args.outDir, "ablation_warmstart", rec);
+        telemetry::exportTelemetry(out_dir, "ablation_warmstart", rec);
     }
 
     if (verify) {

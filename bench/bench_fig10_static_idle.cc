@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/vf_experiments.hh"
 
@@ -17,13 +18,15 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
-    bench::banner("Fig. 10", "Static and idle power vs voltage/frequency");
-    const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 48, 0);
-    const std::uint32_t samples = args.samples;
-
+    std::uint32_t samples = 48;
     sim::SystemOptions opts;
-    opts.sweepThreads = args.threads;
+    opts.sweepThreads = 0;
+    CommandLine()
+        .count("--samples", samples, 1)
+        .count("--threads", opts.sweepThreads, 0, maxWorkerThreads())
+        .parse(argc, argv);
+    bench::banner("Fig. 10", "Static and idle power vs voltage/frequency");
+
     const core::StaticIdleExperiment exp(opts, samples);
     TextTable t({"VDD (V)", "f (MHz)", "Core Static (W)", "SRAM Static (W)",
                  "Core Dynamic (W)", "SRAM Dynamic (W)", "Total Idle (W)"});

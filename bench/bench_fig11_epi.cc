@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/epi_experiment.hh"
 
@@ -16,13 +17,15 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
-    bench::banner("Fig. 11", "Energy per instruction (EPI)");
-    const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 64, 0);
-    const std::uint32_t samples = args.samples;
-
+    std::uint32_t samples = 64;
     sim::SystemOptions opts;
-    opts.sweepThreads = args.threads;
+    opts.sweepThreads = 0;
+    CommandLine()
+        .count("--samples", samples, 1)
+        .count("--threads", opts.sweepThreads, 0, maxWorkerThreads())
+        .parse(argc, argv);
+    bench::banner("Fig. 11", "Energy per instruction (EPI)");
+
     core::EpiExperiment exp(opts, samples);
     std::cout << "Idle power (subtracted): "
               << fmtF(wToMw(exp.idlePowerW()), 1) << " mW\n\n";

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/noc_experiment.hh"
 
@@ -15,9 +16,9 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    std::uint32_t samples = 64;
+    CommandLine().count("--samples", samples, 1).parse(argc, argv);
     bench::banner("Fig. 12", "NoC energy per flit vs hop count");
-    const std::uint32_t samples =
-        bench::parseBenchArgs(argc, argv, 64).samples;
 
     core::NocEnergyExperiment exp(sim::SystemOptions{}, samples);
     std::vector<core::EpfRow> rows = exp.runAll();

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/scaling_experiments.hh"
 
@@ -15,13 +16,15 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
-    bench::banner("Fig. 13", "Power scaling with core count");
-    const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 48, 0);
-    const std::uint32_t samples = args.samples;
-
+    std::uint32_t samples = 48;
     sim::SystemOptions opts;
-    opts.sweepThreads = args.threads;
+    opts.sweepThreads = 0;
+    CommandLine()
+        .count("--samples", samples, 1)
+        .count("--threads", opts.sweepThreads, 0, maxWorkerThreads())
+        .parse(argc, argv);
+    bench::banner("Fig. 13", "Power scaling with core count");
+
     const core::PowerScalingExperiment exp(opts, samples);
     const std::vector<std::uint32_t> grid = {1,  3,  5,  7,  9,  11, 13,
                                              15, 17, 19, 21, 23, 25};

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/scaling_experiments.hh"
 
@@ -15,12 +16,13 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    sim::SystemOptions opts;
+    opts.sweepThreads = 0;
+    CommandLine()
+        .count("--threads", opts.sweepThreads, 0, maxWorkerThreads())
+        .parse(argc, argv);
     bench::banner("Fig. 14", "Multithreading vs multicore power/energy");
 
-    const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 128, 0);
-    sim::SystemOptions opts;
-    opts.sweepThreads = args.threads;
     const core::MtVsMcExperiment exp(opts,
                                      /*iterations=*/12000,
                                      /*hist_elements=*/4096,

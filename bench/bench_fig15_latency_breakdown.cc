@@ -11,14 +11,16 @@
 #include "arch/mem_system.hh"
 #include "arch/memory.hh"
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "config/piton_params.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Fig. 15", "Memory latency breakdown (ldx from tile 0)");
 
     TextTable t({"Component", "Detail", "Cycles @ 500.05 MHz"});

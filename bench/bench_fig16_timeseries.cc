@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "core/app_experiments.hh"
@@ -17,8 +18,9 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    std::string out_dir;
+    CommandLine().text("--out", out_dir, "DIR").parse(argc, argv);
     bench::banner("Fig. 16", "Per-supply power time series (gcc-166)");
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
 
     core::PowerTimeSeriesExperiment exp;
     telemetry::TelemetryRecorder telem;
@@ -51,9 +53,9 @@ main(int argc, char **argv)
               << "  SRAM: mean " << fmtF(sram_mw.mean(), 1) << " mW, range "
               << fmtF(sram_mw.min(), 1) << ".." << fmtF(sram_mw.max(), 1)
               << " (paper: ~268-280 mW)\n";
-    if (!args.outDir.empty()) {
-        telemetry::exportTelemetry(args.outDir, "fig16_timeseries", telem);
-        std::cout << "\ntelemetry: " << args.outDir
+    if (!out_dir.empty()) {
+        telemetry::exportTelemetry(out_dir, "fig16_timeseries", telem);
+        std::cout << "\ntelemetry: " << out_dir
                   << "/fig16_timeseries.{csv,jsonl} ("
                   << telem.seriesCount() << " series)\n";
     }

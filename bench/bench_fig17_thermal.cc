@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/thermal_experiments.hh"
 #include "telemetry/export.hh"
@@ -17,13 +18,18 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
-    bench::banner("Fig. 17", "Power vs package temperature (fan sweep)");
-    const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 24, 0);
-
+    std::uint32_t samples = 24;
     sim::SystemOptions opts = core::thermalStudyOptions();
-    opts.sweepThreads = args.threads;
-    const core::ThermalSweepExperiment exp(opts, args.samples);
+    opts.sweepThreads = 0;
+    std::string out_dir;
+    CommandLine()
+        .count("--samples", samples, 1)
+        .count("--threads", opts.sweepThreads, 0, maxWorkerThreads())
+        .text("--out", out_dir, "DIR")
+        .parse(argc, argv);
+    bench::banner("Fig. 17", "Power vs package temperature (fan sweep)");
+
+    const core::ThermalSweepExperiment exp(opts, samples);
     // The sweep runs through the telemetry path: one recorder per
     // family task, merged in task order (bit-identical at any
     // --threads value).
@@ -36,9 +42,9 @@ main(int argc, char **argv)
                   fmtF(wToMw(p.powerW), 0)});
     }
     t.print(std::cout);
-    if (!args.outDir.empty()) {
-        telemetry::exportTelemetry(args.outDir, "fig17_thermal", telem);
-        std::cout << "\ntelemetry: " << args.outDir
+    if (!out_dir.empty()) {
+        telemetry::exportTelemetry(out_dir, "fig17_thermal", telem);
+        std::cout << "\ntelemetry: " << out_dir
                   << "/fig17_thermal.{csv,jsonl} (" << telem.seriesCount()
                   << " series)\n";
     }

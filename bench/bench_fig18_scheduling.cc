@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/thermal_experiments.hh"
 
@@ -15,9 +16,9 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    std::uint32_t samples = 24;
+    CommandLine().count("--samples", samples, 1).parse(argc, argv);
     bench::banner("Fig. 18", "Synchronized vs interleaved scheduling");
-    const std::uint32_t samples =
-        bench::parseBenchArgs(argc, argv, 24).samples;
 
     const core::SchedulingExperiment exp(core::thermalStudyOptions(),
                                          samples);

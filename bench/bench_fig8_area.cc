@@ -8,6 +8,7 @@
 
 #include "bench_util.hh"
 #include "chip/area_model.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 namespace
@@ -33,9 +34,10 @@ printLevel(const piton::chip::AreaLevel &level)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Fig. 8", "Area breakdown at chip, tile, core levels");
 
     const chip::AreaModel m;

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/vf_experiments.hh"
 
@@ -15,15 +16,16 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    unsigned threads = 0;
+    CommandLine().count("--threads", threads, 0, maxWorkerThreads())
+        .parse(argc, argv);
     bench::banner("Fig. 9", "Maximum Linux-boot frequency vs VDD");
 
     const core::VfScalingExperiment exp;
     const std::vector<double> grid =
         core::VfScalingExperiment::voltageGrid();
     // Points come back ordered chip-major: chip id 1..3 x the grid.
-    const auto points =
-        exp.runAll({1, 2, 3},
-                   bench::parseBenchArgs(argc, argv, 128, 0).threads);
+    const auto points = exp.runAll({1, 2, 3}, threads);
 
     TextTable t({"VDD (V)", "Chip #1 (MHz)", "Chip #2 (MHz)",
                  "Chip #3 (MHz)", "Notes"});

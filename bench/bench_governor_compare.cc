@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "governor/scenario.hh"
 #include "sim/system.hh"
@@ -50,21 +51,22 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    std::string policy, scenario, out_dir;
+    CommandLine()
+        .choice("--governor", policy, governor::governorPolicyNames())
+        .text("--scenario", scenario, "FILE")
+        .text("--out", out_dir, "DIR")
+        .parse(argc, argv);
     bench::banner("Extension", "Closed-loop DVFS governor comparison");
-    const bench::BenchArgs args = bench::parseBenchArgs(
-        argc, argv, 128, 1, {}, 0, {"--governor", "--scenario"});
-    const std::string scenario = args.optionValue("--scenario");
 
     const governor::Scenario base =
         scenario.empty()
             ? governor::Scenario::fromText(kBuiltinScenario, "<builtin>")
             : governor::Scenario::fromFile(scenario);
 
-    std::vector<std::string> policies = {"none", "ondemand", "pidcap",
-                                         "theas"};
-    if (const std::string policy = args.optionValue("--governor");
-        !policy.empty())
-        policies = {policy};
+    const std::vector<std::string> policies =
+        policy.empty() ? governor::governorPolicyNames()
+                       : std::vector<std::string>{policy};
 
     std::cout << "scenario '" << base.name << "': " << base.workload
               << " on " << base.tiles << " tiles x "
@@ -89,15 +91,15 @@ main(int argc, char **argv)
                   fmtF(r.epi * 1e9, 3), fmtF(r.avgPowerW, 3),
                   fmtF(r.finalDieTempC, 2)});
 
-        if (!args.outDir.empty()) {
+        if (!out_dir.empty()) {
             const std::string name = "governor_compare_" + r.policy;
-            telemetry::exportTelemetry(args.outDir, name, rec);
-            std::cout << "telemetry: " << args.outDir << "/" << name
+            telemetry::exportTelemetry(out_dir, name, rec);
+            std::cout << "telemetry: " << out_dir << "/" << name
                       << ".{csv,jsonl} (" << rec.seriesCount()
                       << " series)\n";
         }
     }
-    if (!args.outDir.empty())
+    if (!out_dir.empty())
         std::cout << "\n";
     t.print(std::cout);
 

@@ -40,12 +40,12 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "search/searcher.hh"
 #include "service/client.hh"
 #include "service/scheduler.hh"
@@ -132,26 +132,24 @@ checkIdentical(const char *what, const search::SearchResult &a,
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(
-        argc, argv, /*def_samples=*/16, /*def_threads=*/1,
-        {"--verify", "--sampled"}, 0, {"--budget", "--cores", "--seed"});
-    const bool verify = args.hasFlag("--verify");
-    const bool sampled = args.hasFlag("--sampled");
-    const auto budget = static_cast<std::uint32_t>(
-        std::strtoul(args.optionValue("--budget", "24").c_str(), nullptr,
-                     10));
-    const auto cores = static_cast<std::uint32_t>(
-        std::strtoul(args.optionValue("--cores", "3").c_str(), nullptr,
-                     10));
-    const auto seed = static_cast<std::uint64_t>(
-        std::strtoul(args.optionValue("--seed", "1").c_str(), nullptr, 10));
-
+    unsigned threads = 1;
+    std::string out_dir;
+    bool verify = false, sampled = false;
+    std::uint32_t cores = 3;
+    search::SearcherOptions opts;
+    opts.budget = 24;
+    CommandLine()
+        .count("--threads", threads, 0, maxWorkerThreads())
+        .text("--out", out_dir, "DIR")
+        .flag("--verify", verify)
+        .flag("--sampled", sampled)
+        .count("--budget", opts.budget, 1)
+        .count("--cores", cores, 1, 25)
+        .count("--seed", opts.seed)
+        .parse(argc, argv);
     bench::banner("SEARCH", "placement/DVFS search vs random baseline");
 
     const search::SearchTask task = makeTask(cores, sampled);
-    search::SearcherOptions opts;
-    opts.seed = seed;
-    opts.budget = budget;
     opts.batch = 6;
     opts.population = 6;
 
@@ -162,13 +160,13 @@ main(int argc, char **argv)
     std::printf("task: %u cores over %zu rungs, %s explore fidelity,"
                 " budget %u/engine (exhaustive space %.3g)\n\n",
                 cores, task.space.rungs.size(),
-                sampled ? "sampled" : "exact", budget,
+                sampled ? "sampled" : "exact", opts.budget,
                 search::exhaustiveSize(task.space));
-    LocalOracle local(args.threads);
+    LocalOracle local(threads);
     std::vector<search::SearchResult> results;
     for (const std::string &engine : search::searcherNames()) {
         search::SearcherOptions engine_opts = opts;
-        if (engine == "sa" && !args.outDir.empty())
+        if (engine == "sa" && !out_dir.empty())
             engine_opts.recorder = &recorder;
         results.push_back(search::makeSearcher(engine)->search(
             task, local.oracle, engine_opts));
@@ -189,10 +187,10 @@ main(int argc, char **argv)
     const search::SearchResult &sa_r = results[1];
     const search::SearchResult &ga_r = results[2];
 
-    if (!args.outDir.empty()) {
-        telemetry::exportTelemetry(args.outDir, "search", recorder);
+    if (!out_dir.empty()) {
+        telemetry::exportTelemetry(out_dir, "search", recorder);
         std::printf("\ntelemetry: %s/search.{csv,jsonl}\n",
-                    args.outDir.c_str());
+                    out_dir.c_str());
     }
 
     if (!verify)
@@ -203,7 +201,7 @@ main(int argc, char **argv)
 
     // Replay: same seed, fresh oracle → bit-identical search.
     for (const std::string &engine : search::searcherNames()) {
-        LocalOracle a(args.threads), b(args.threads);
+        LocalOracle a(threads), b(threads);
         const search::SearchResult ra =
             search::makeSearcher(engine)->search(task, a.oracle, opts);
         const search::SearchResult rb =
@@ -215,12 +213,12 @@ main(int argc, char **argv)
     // framing over loopback TCP) must drive the search to the same
     // candidates as the in-process client.
     {
-        LocalOracle in_process(args.threads);
+        LocalOracle in_process(threads);
         const search::SearchResult rl =
             search::makeSearcher("sa")->search(task, in_process.oracle,
                                                opts);
         service::ServerConfig scfg;
-        scfg.scheduler = schedulerConfig(args.threads);
+        scfg.scheduler = schedulerConfig(threads);
         service::ExperimentServer server(scfg);
         server.start();
         service::TcpClient tcp(server.port());

@@ -28,11 +28,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "service/client.hh"
 #include "service/request.hh"
 #include "service/scheduler.hh"
@@ -88,21 +88,26 @@ main(int argc, char **argv)
 {
     using namespace piton;
 
-    const bench::BenchArgs args = bench::parseBenchArgs(
-        argc, argv, /*def_samples=*/8, /*def_threads=*/2,
-        {"--verify", "--tcp"}, 0, {"--requests"});
-    const std::size_t n_requests = static_cast<std::size_t>(
-        std::strtoul(args.optionValue("--requests", "32").c_str(),
-                     nullptr, 10));
-    const bool verify = args.hasFlag("--verify");
+    std::uint32_t samples = 8;
+    service::SchedulerConfig cfg;
+    cfg.threads = 2;
+    std::string out_dir;
+    std::size_t n_requests = 32;
+    bool verify = false, tcp = false;
+    CommandLine()
+        .count("--samples", samples, 1)
+        .count("--threads", cfg.threads, 0, maxWorkerThreads())
+        .text("--out", out_dir, "DIR")
+        .count("--requests", n_requests, 1, 65536)
+        .flag("--verify", verify)
+        .flag("--tcp", tcp)
+        .parse(argc, argv);
 
     bench::banner("SERVICE", "experiment service throughput");
     std::printf("burst: %zu requests, %u samples each, %u worker "
                 "thread(s)\n\n",
-                n_requests, args.samples, args.threads);
+                n_requests, samples, cfg.threads);
 
-    service::SchedulerConfig cfg;
-    cfg.threads = args.threads;
     cfg.maxPending = n_requests + 8;
     cfg.queueCapacity = n_requests + 8;
     service::ExperimentScheduler sched(cfg);
@@ -111,7 +116,7 @@ main(int argc, char **argv)
     std::vector<service::ExperimentRequest> requests;
     requests.reserve(n_requests);
     for (std::size_t i = 0; i < n_requests; ++i)
-        requests.push_back(burstRequest(args.samples, 0x517 + i));
+        requests.push_back(burstRequest(samples, 0x517 + i));
 
     // Phase 1: cold burst, pipelined through submit().
     std::vector<service::ExperimentScheduler::Ticket> tickets;
@@ -159,7 +164,7 @@ main(int argc, char **argv)
                 n_requests);
 
     // Phase 3: warm-started sweep — the repeat forks the cached prefix.
-    service::ExperimentRequest sweep = burstRequest(args.samples, 0x517);
+    service::ExperimentRequest sweep = burstRequest(samples, 0x517);
     sweep.kind = service::Kind::Sweep;
     sweep.tails = {{1.0, 4}, {0.5, 4}, {0.0, 4}};
     const Clock::time_point sweep_cold_t0 = Clock::now();
@@ -178,7 +183,7 @@ main(int argc, char **argv)
     // additionally checks cross-instance determinism: a recomputed
     // result must still be byte-identical to the in-process one.
     bool tcp_ok = true;
-    if (args.hasFlag("--tcp")) {
+    if (tcp) {
         service::ServerConfig scfg;
         scfg.port = 0; // ephemeral
         scfg.scheduler = cfg;
@@ -216,13 +221,13 @@ main(int argc, char **argv)
                 m.resultCache.entries, m.resultCache.bytes,
                 m.prefixCache.entries, m.prefixCache.bytes);
 
-    if (!args.outDir.empty()) {
+    if (!out_dir.empty()) {
         telemetry::TelemetryRecorder rec;
         sched.exportTelemetry(rec);
-        telemetry::exportTelemetry(args.outDir, "service_throughput",
+        telemetry::exportTelemetry(out_dir, "service_throughput",
                                    rec);
         std::printf("telemetry exported to %s/service_throughput.*\n",
-                    args.outDir.c_str());
+                    out_dir.c_str());
     }
 
     if (verify) {

@@ -12,12 +12,14 @@
 
 #include "bench_util.hh"
 #include "chip/yield_model.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Table IV", "Piton testing statistics (yield model)");
 
     const chip::YieldModel model;

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/vf_experiments.hh"
 
@@ -16,9 +17,9 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
+    std::uint32_t samples = 128;
+    CommandLine().count("--samples", samples, 1).parse(argc, argv);
     bench::banner("Table V", "Default power parameters (Chip #2)");
-    const std::uint32_t samples =
-        bench::parseBenchArgs(argc, argv).samples;
 
     const core::DefaultPowerResult r = core::measureDefaultPower(2, samples);
     TextTable t({"Parameter", "Measured", "Paper"});

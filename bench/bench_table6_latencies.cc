@@ -11,6 +11,7 @@
 #include "arch/piton_chip.hh"
 #include "bench_util.hh"
 #include "chip/chip_instance.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "isa/assembler.hh"
 
@@ -50,8 +51,9 @@ measureLatency(const std::string &body, int count)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    piton::CommandLine().parse(argc, argv);
     bench::banner("Table VI", "Instruction latencies (simulation-verified)");
 
     struct Row

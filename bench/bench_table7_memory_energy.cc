@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/epi_experiment.hh"
 
@@ -15,13 +16,15 @@ int
 main(int argc, char **argv)
 {
     using namespace piton;
-    bench::banner("Table VII", "Memory system energy (ldx scenarios)");
-    const bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, 128, 0);
-    const std::uint32_t samples = args.samples;
-
+    std::uint32_t samples = 128;
     sim::SystemOptions opts;
-    opts.sweepThreads = args.threads;
+    opts.sweepThreads = 0;
+    CommandLine()
+        .count("--samples", samples, 1)
+        .count("--threads", opts.sweepThreads, 0, maxWorkerThreads())
+        .parse(argc, argv);
+    bench::banner("Table VII", "Memory system energy (ldx scenarios)");
+
     core::MemoryEnergyExperiment exp(opts, samples);
     const auto rows = exp.runAll();
 

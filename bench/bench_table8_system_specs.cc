@@ -6,13 +6,15 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "perfmodel/machine.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Table VIII", "Sun Fire T2000 vs Piton system specs");
 
     const perfmodel::MachineParams t1 = perfmodel::sunFireT2000();

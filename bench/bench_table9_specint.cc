@@ -8,13 +8,15 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/app_experiments.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
     bench::banner("Table IX", "SPECint 2006 performance, power, energy");
 
     const perfmodel::SpecModel model = core::makePaperSpecModel();

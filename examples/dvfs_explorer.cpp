@@ -7,13 +7,14 @@
  *
  * Usage:
  *   dvfs_explorer [--chip N] [--vdd VOLTS]
+ *     --chip  calibrated chip 1-4 (default 2)
+ *     --vdd   core supply in the characterized 0.8-1.2 V (default 1.0)
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "chip/fmax_solver.hh"
+#include "common/cli.hh"
 #include "sim/system.hh"
 #include "workloads/microbenchmarks.hh"
 
@@ -24,12 +25,10 @@ main(int argc, char **argv)
 
     int chip_id = 2;
     double vdd = 1.00;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--chip") == 0)
-            chip_id = std::atoi(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--vdd") == 0)
-            vdd = std::atof(argv[i + 1]);
-    }
+    CommandLine()
+        .count("--chip", chip_id, 1, 4)
+        .real("--vdd", vdd, 0.8, 1.2)
+        .parse(argc, argv);
     const double vcs = vdd + 0.05;
 
     const chip::FmaxSolver solver(power::VfModel{}, power::EnergyModel{},

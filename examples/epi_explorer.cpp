@@ -13,9 +13,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
+#include "common/cli.hh"
 #include "core/epi_experiment.hh"
 
 int
@@ -23,31 +24,31 @@ main(int argc, char **argv)
 {
     using namespace piton;
 
-    std::string variant = "add";
-    workloads::OperandPattern pattern = workloads::OperandPattern::Random;
+    std::vector<std::string> labels;
+    for (const auto &v : workloads::epiVariants())
+        labels.push_back(v.label);
+    std::string variant = "add", pattern_name = "random";
     std::uint32_t samples = 64;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--list") {
-            std::printf("supported variants:\n");
-            for (const auto &v : workloads::epiVariants())
-                std::printf("  %-10s latency %2u cycles%s\n",
-                            v.label.c_str(), v.latency,
-                            v.hasOperands ? "" : " (no operand patterns)");
-            return 0;
-        }
-        if (arg == "--samples" && i + 1 < argc) {
-            samples = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        } else if (arg == "min") {
-            pattern = workloads::OperandPattern::Minimum;
-        } else if (arg == "random") {
-            pattern = workloads::OperandPattern::Random;
-        } else if (arg == "max") {
-            pattern = workloads::OperandPattern::Maximum;
-        } else {
-            variant = arg;
-        }
+    bool list = false;
+    CommandLine()
+        .choice("variant", variant, labels)
+        .choice("pattern", pattern_name, {"min", "random", "max"})
+        .count("--samples", samples, 1)
+        .flag("--list", list)
+        .parse(argc, argv);
+    if (list) {
+        std::printf("supported variants:\n");
+        for (const auto &v : workloads::epiVariants())
+            std::printf("  %-10s latency %2u cycles%s\n", v.label.c_str(),
+                        v.latency,
+                        v.hasOperands ? "" : " (no operand patterns)");
+        return 0;
     }
+    workloads::OperandPattern pattern = workloads::OperandPattern::Random;
+    for (const auto p : {workloads::OperandPattern::Minimum,
+                         workloads::OperandPattern::Maximum})
+        if (pattern_name == workloads::operandPatternName(p))
+            pattern = p;
 
     const workloads::EpiVariant &v = workloads::epiVariant(variant);
     core::EpiExperiment exp(sim::SystemOptions{}, samples);

@@ -15,17 +15,14 @@
  * CSVs are bit-identical at any thread count.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 
-#include "bench_util.hh"
-
 #include "arch/chipset.hh"
 #include "chip/area_model.hh"
 #include "chip/yield_model.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/app_experiments.hh"
 #include "core/epi_experiment.hh"
@@ -54,13 +51,15 @@ writeCsv(const std::filesystem::path &dir, const std::string &name,
 int
 main(int argc, char **argv)
 {
-    const piton::bench::BenchArgs args = piton::bench::parseBenchArgs(
-        argc, argv, /*def_samples=*/128, /*def_threads=*/1,
-        /*extra_flags=*/{"--full"}, /*max_positionals=*/1);
-    const bool full = args.hasFlag("--full");
-    const unsigned threads = args.threads;
-    const std::filesystem::path dir =
-        args.positionals.empty() ? "open_data" : args.positionals[0];
+    std::string out = "open_data";
+    bool full = false;
+    unsigned threads = 1;
+    CommandLine()
+        .text("output-dir", out, "DIR")
+        .flag("--full", full)
+        .count("--threads", threads, 0, maxWorkerThreads())
+        .parse(argc, argv);
+    const std::filesystem::path dir = out;
     std::filesystem::create_directories(dir);
 
     // Fig. 8: area breakdown.

@@ -7,14 +7,14 @@
  *
  * Usage:
  *   memory_hierarchy_probe [--stride BYTES] [--count N] [--tile T]
+ *     --tile  requesting tile, 0-24
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "arch/mem_system.hh"
 #include "arch/memory.hh"
+#include "common/cli.hh"
 #include "config/piton_params.hh"
 #include "power/energy_model.hh"
 
@@ -26,14 +26,11 @@ main(int argc, char **argv)
     Addr stride = 51200; // aliases one L1 set, stays at one home tile
     int count = 12;
     TileId tile = 0;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--stride") == 0)
-            stride = std::strtoull(argv[i + 1], nullptr, 0);
-        else if (std::strcmp(argv[i], "--count") == 0)
-            count = std::atoi(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--tile") == 0)
-            tile = static_cast<TileId>(std::atoi(argv[i + 1]));
-    }
+    CommandLine()
+        .count("--stride", stride, 1)
+        .count("--count", count, 1)
+        .count("--tile", tile, 0, 24)
+        .parse(argc, argv);
 
     config::PitonParams params;
     power::EnergyModel energy;

@@ -6,15 +6,17 @@
  *
  * Usage:
  *   noc_traffic_study [payload-hex] [--hops N]
+ *     payload-hex  64-bit payload in hexadecimal, "0x" optional
+ *     --hops N     largest hop count, 0-8 (default 8)
  *
  * Example (a sparse telemetry pattern):
  *   ./build/examples/noc_traffic_study 0x00FF00FF00FF00FF --hops 6
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 
+#include "common/cli.hh"
 #include "core/equations.hh"
 #include "core/noc_experiment.hh"
 
@@ -25,12 +27,10 @@ main(int argc, char **argv)
 
     RegVal payload = 0xAAAAAAAAAAAAAAAAULL;
     std::uint32_t max_hops = 8;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--hops") == 0 && i + 1 < argc)
-            max_hops = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-        else
-            payload = std::strtoull(argv[i], nullptr, 0);
-    }
+    CommandLine()
+        .count("payload-hex", payload, 0, UINT64_MAX, 16)
+        .count("--hops", max_hops, 0, 8)
+        .parse(argc, argv);
 
     // Measure EPF for the user's payload (alternating with zeros) at
     // each hop count, through the full injection methodology.

@@ -10,13 +10,15 @@
 
 #include <cstdio>
 
+#include "common/cli.hh"
 #include "isa/assembler.hh"
 #include "sim/system.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace piton;
+    CommandLine().parse(argc, argv);
 
     // 1. A system at the paper's default operating point (Table III):
     //    Chip #2, 1.0 V / 1.05 V / 1.8 V, 500.05 MHz.

@@ -3,19 +3,17 @@
  * Thermal scheduling study: evaluate how a scheduling policy's phase
  * alignment affects peak power, average temperature, and the
  * power/temperature hysteresis — the Section IV-J workflow, opened up
- * so users can sweep phase durations and thread splits.
+ * so users can sweep phase durations.
  *
  * Usage:
- *   thermal_scheduling [--phase SECONDS] [--split N]
- *     --phase  phase duration in seconds (default 10)
- *     --split  threads in phase A for the interleaved schedule
- *              (default 26 of 50)
+ *   thermal_scheduling [--phase SECONDS]
+ *     --phase  phase duration in seconds, 0.5-400 (default 10); the
+ *              interleaved schedule's 26/24 thread split is fixed
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "common/cli.hh"
 #include "core/thermal_experiments.hh"
 
 int
@@ -24,14 +22,7 @@ main(int argc, char **argv)
     using namespace piton;
 
     double phase_s = 10.0;
-    int split = 26;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--phase") == 0)
-            phase_s = std::atof(argv[i + 1]);
-        else if (std::strcmp(argv[i], "--split") == 0)
-            split = std::atoi(argv[i + 1]);
-    }
-    (void)split; // the 26/24 split is fixed in the library experiment
+    CommandLine().real("--phase", phase_s, 0.5, 400.0).parse(argc, argv);
 
     const core::SchedulingExperiment exp(core::thermalStudyOptions(), 16);
     std::printf("two-phase application on all 50 threads, %g s phases\n",

@@ -352,13 +352,13 @@ makeGovernor(const GovernorParams &params)
     if (params.policy == "theas")
         return std::make_unique<TheasGovernor>(params);
     throw std::runtime_error("unknown governor policy '" + params.policy
-                             + "' (" + governorPolicyNames() + ")");
+                             + "' (none|ondemand|pidcap|theas)");
 }
 
-const char *
+std::vector<std::string>
 governorPolicyNames()
 {
-    return "none|ondemand|pidcap|theas";
+    return {"none", "ondemand", "pidcap", "theas"};
 }
 
 GovernorParams

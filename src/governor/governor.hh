@@ -207,7 +207,7 @@ class Governor
 std::unique_ptr<Governor> makeGovernor(const GovernorParams &params);
 
 /** Valid policy names, for CLI help / validation. */
-const char *governorPolicyNames();
+std::vector<std::string> governorPolicyNames();
 
 /**
  * Read the governor.* keys of a scenario kv-file (see scenario.hh for

@@ -27,6 +27,8 @@ class SearchRun
         : task_(task), oracle_(oracle), opts_(opts),
           startStats_(oracle.stats())
     {
+        if (opts_.budget == 0)
+            throw std::invalid_argument("search budget must be at least 1");
         result_.engine = engine;
         if (opts_.recorder != nullptr) {
             seriesBest_ = opts_.recorder->defineSeries(
@@ -278,8 +280,6 @@ class GaSearcher : public Searcher
 
         SeenSet seen;
         const std::uint32_t init = std::min(pop_size, run.remaining());
-        if (init == 0)
-            return run.finish();
         // Half the founding population is informed (default operating
         // points across the rung ladder), half uniform — crossover can
         // then combine a good operating point with a good placement.

@@ -119,6 +119,7 @@ class Searcher
   public:
     virtual ~Searcher() = default;
     virtual const char *name() const = 0;
+    /** Throws std::invalid_argument when opts.budget is 0. */
     virtual SearchResult search(const SearchTask &task, Oracle &oracle,
                                 const SearcherOptions &opts) = 0;
 };

@@ -230,12 +230,6 @@ ServeResult
 ExperimentScheduler::execute(const ExperimentRequest &canon,
                              const Hash128 &key, const RunControl &ctl)
 {
-    if (ctl.isCancelled() || ctl.deadlineExpired()) {
-        const Status s = ctl.isCancelled() ? Status::Cancelled
-                                           : Status::DeadlineExpired;
-        return failureResult(s, canon.kind, "rejected in queue");
-    }
-
     ResultCache::Acquired acq = resultCache_.acquire(key);
     if (acq.hit()) {
         ServeResult r;

@@ -4,13 +4,15 @@
  */
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/numeric_flag.hh"
+#include "common/cli.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -249,24 +251,41 @@ TEST(NumericFlag, RejectsAnythingButPlainDigits)
     EXPECT_FALSE(parseUnsigned(nullptr, UINT64_MAX));
 }
 
+/** Parse `flag value` (no value when null) through a one-flag table
+ *  that binds `dest`, bounded by `max`. */
+template <typename T>
+void
+parseFlag(T &dest, const char *flag, const char *value,
+          std::uint64_t max = std::numeric_limits<T>::max())
+{
+    std::vector<std::string> args = {"prog", flag};
+    if (value != nullptr)
+        args.emplace_back(value);
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    CommandLine().count(flag, dest, 0, max).parse(
+        static_cast<int>(argv.size()), argv.data());
+}
+
 TEST(NumericFlag, ParseFlagBoundsByTheDestinationType)
 {
     std::uint16_t port = 0;
-    parseFlag(port, "prog", "--port", "7425");
+    parseFlag(port, "--port", "7425");
     EXPECT_EQ(port, 7425);
     int chip = -1;
-    parseFlag(chip, "prog", "--chip", "2147483647");
+    parseFlag(chip, "--chip", "2147483647");
     EXPECT_EQ(chip, 2147483647);
-    EXPECT_EXIT(parseFlag(port, "prog", "--port", "70000"),
+    EXPECT_EXIT(parseFlag(port, "--port", "70000"),
                 ::testing::ExitedWithCode(2),
-                "bad numeric value for --port: 70000");
+                "bad value for --port: 70000");
     std::uint32_t budget = 0;
-    EXPECT_EXIT(parseFlag(budget, "prog", "--budget", "4294967297"),
+    EXPECT_EXIT(parseFlag(budget, "--budget", "4294967297"),
                 ::testing::ExitedWithCode(2), "--budget");
-    EXPECT_EXIT(parseFlag(chip, "prog", "--chip", "2147483648"),
+    EXPECT_EXIT(parseFlag(chip, "--chip", "2147483648"),
                 ::testing::ExitedWithCode(2), "--chip");
-    EXPECT_EXIT(parseFlag(port, "prog", "--port", nullptr),
-                ::testing::ExitedWithCode(2), "missing value for --port");
+    EXPECT_EXIT(parseFlag(port, "--port", nullptr),
+                ::testing::ExitedWithCode(2), "missing value for: --port");
 }
 
 TEST(NumericFlag, WorkerCountsAreCappedPerHardwareThread)
@@ -282,15 +301,14 @@ TEST(NumericFlag, WorkerCountsAreCappedPerHardwareThread)
     // one above it, or the old 32-bit maximum, exits with 2.
     const unsigned cap = maxWorkerThreads(2);
     unsigned threads = 99;
-    parseFlag(threads, "prog", "--threads", "0", cap);
+    parseFlag(threads, "--threads", "0", cap);
     EXPECT_EQ(threads, 0u);
-    parseFlag(threads, "prog", "--threads", std::to_string(cap).c_str(), cap);
+    parseFlag(threads, "--threads", std::to_string(cap).c_str(), cap);
     EXPECT_EQ(threads, cap);
-    EXPECT_EXIT(parseFlag(threads, "prog", "--threads",
+    EXPECT_EXIT(parseFlag(threads, "--threads",
                           std::to_string(cap + 1).c_str(), cap),
-                ::testing::ExitedWithCode(2),
-                "bad numeric value for --threads");
-    EXPECT_EXIT(parseFlag(threads, "prog", "--threads", "4294967295", cap),
+                ::testing::ExitedWithCode(2), "bad value for --threads");
+    EXPECT_EXIT(parseFlag(threads, "--threads", "4294967295", cap),
                 ::testing::ExitedWithCode(2), "--threads");
 }
 

@@ -258,6 +258,49 @@ TEST(Searcher, FactoryKnowsExactlyTheAdvertisedEngines)
     EXPECT_THROW(makeSearcher(""), std::invalid_argument);
 }
 
+/** An oracle that simulates nothing: every request completes with the
+ *  same energy, so a search's cost is only its bookkeeping. */
+class FlatOracle : public Oracle
+{
+  public:
+    std::vector<Evaluation>
+    evaluate(const std::vector<service::ExperimentRequest> &reqs) override
+    {
+        stats_.calls += reqs.size();
+        Evaluation ev;
+        ev.valid = ev.completed = true;
+        ev.insts = 1000;
+        ev.seconds = 1e-3;
+        ev.energyJ = 1e-6;
+        ev.epi = ev.energyJ / static_cast<double>(ev.insts);
+        ev.avgPowerW = ev.energyJ / ev.seconds;
+        return std::vector<Evaluation>(reqs.size(), ev);
+    }
+};
+
+TEST(Searcher, EveryEngineRejectsBudgetZeroAndRunsBudgetOne)
+{
+    SearchTask task;
+    task.space = space4();
+    task.base.workload.iterations = 2;
+    for (const std::string &engine : searcherNames()) {
+        SCOPED_TRACE(engine);
+        FlatOracle oracle;
+        SearcherOptions opts;
+        opts.budget = 0;
+        EXPECT_THROW(makeSearcher(engine)->search(task, oracle, opts),
+                     std::invalid_argument);
+        EXPECT_EQ(oracle.stats().calls, 0u);
+
+        opts.budget = 1;
+        const SearchResult r =
+            makeSearcher(engine)->search(task, oracle, opts);
+        EXPECT_EQ(r.oracleCalls, 1u);
+        EXPECT_LT(r.bestScore, kInvalidScore);
+        expectCanonical(task.space, r.best);
+    }
+}
+
 TEST(Searcher, TrajectoryCsvIsHeaderPlusOneLinePerPoint)
 {
     SearchResult r;

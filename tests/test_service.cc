@@ -639,7 +639,10 @@ TEST(ServiceScheduler, QueuedDeadlineExpiresWithoutRunning)
     urgent.deadlineMs = 60000;
     const ExperimentScheduler::Ticket t = sched.submit(urgent);
     fake_ms->fetch_add(61000);
-    EXPECT_EQ(t.result.get().status, Status::DeadlineExpired);
+    const ServeResult r = t.result.get();
+    EXPECT_EQ(r.status, Status::DeadlineExpired);
+    EXPECT_EQ(ExperimentResponse::decodeBody(*r.body).error,
+              "deadline expired in queue");
     EXPECT_EQ(slow.result.get().status, Status::Ok);
     EXPECT_EQ(sched.metrics().deadlineExpired, 1u);
 }

@@ -69,13 +69,24 @@ expect_usage_error "$tools/piton-servectl" --port 65536 ping
 expect_usage_error "$tools/piton-searchctl" minimize-epi --budget 4294967297
 expect_usage_error "$tools/piton-searchctl" minimize-epi --chip 2147483648
 
-# A bench rejects a flag it does not read (checkpoint and governor
-# flags are allowed only where they are read), and
-# bench_ablation_warmstart's --checkpoint-every needs --checkpoint-out.
-step "benches: flags a bench does not read exit 2"
+# A binary rejects a flag it does not read (checkpoint and governor
+# flags are allowed only where they are read, --samples only where
+# samples are taken), a count below its minimum (a search budget of 0,
+# a sample count of 0) or above its range (tile 25 of a 25-tile chip),
+# and a value that is not a number; bench_ablation_warmstart's
+# --checkpoint-every needs --checkpoint-out.
+step "benches and examples: flags a binary does not accept exit 2"
 expect_usage_error "$bench/bench_fig10_static_idle" --resume-from x
 expect_usage_error "$bench/bench_fig10_static_idle" --governor none
 expect_usage_error "$bench/bench_ablation_warmstart" --checkpoint-every 3
+expect_usage_error "$bench/bench_table6_latencies" --bogus
+expect_usage_error "$bench/bench_fig9_vf_scaling" --samples 1
+expect_usage_error "$bench/bench_search" --budget 0
+expect_usage_error "$tools/piton-searchctl" minimize-epi --budget 0
+expect_usage_error "$bench/bench_ablation_sampling" \
+    --sampled --samples 1 --interval-insns x
+expect_usage_error "$build/examples/memory_hierarchy_probe" --tile 25
+expect_usage_error "$build/examples/epi_explorer" --samples -1
 
 # The daemon runs for the whole exchange; a sanitizer finding aborts
 # it, which fails the final `wait`.  The burst covers: liveness (ping),

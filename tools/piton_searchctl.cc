@@ -5,7 +5,7 @@
  *
  *   piton-searchctl <goal> [options]
  *
- * Goals: minimize-epi | min-energy-capped | max-throughput.
+ * Goals: minimize-epi (or min-epi) | min-energy-capped | max-throughput.
  *
  * Backend selection (the service behind the evaluation oracle):
  *   (default)      an in-process ExperimentScheduler with --threads N
@@ -15,11 +15,12 @@
  * Search options:
  *   --engine sa|ga|random   metaheuristic (default sa)
  *   --seed N                search RNG seed (default 1)
- *   --budget N              explore-evaluation budget (default 64)
+ *   --budget N              explore-evaluation budget, at least 1
+ *                           (default 64)
  *   --batch N               evaluations per oracle batch (default 8)
- *   --cores N               worker threads to place (default 4)
- *   --chip N                chip id (default 2)
- *   --bench NAME            microbenchmark (default phased)
+ *   --cores N               worker threads to place, 1-25 (default 4)
+ *   --chip N                calibrated chip 1-4 (default 2)
+ *   --bench NAME            int | hp | hist | phased (default phased)
  *   --iterations N          full-fidelity workload iterations
  *   --explore-iterations N  reduced explore fidelity (0 = full)
  *   --explore-slices N      explore through sampled runs (0 = exact)
@@ -31,16 +32,15 @@
  * full-fidelity re-evaluation confirmed it (finalScore feasible).
  */
 
-#include <cctype>
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/cli.hh"
 #include "search/searcher.hh"
-#include "common/numeric_flag.hh"
 #include "service/client.hh"
 #include "workloads/microbenchmarks.hh"
 
@@ -48,52 +48,6 @@ namespace
 {
 
 using namespace piton;
-
-[[noreturn]] void
-usage(const char *prog)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s <goal> [options]\n"
-        "goals: minimize-epi | min-energy-capped | max-throughput\n"
-        "backend: (in-process) | --port N\n"
-        "options: --engine sa|ga|random --seed N --budget N --batch N\n"
-        "         --cores N --chip N --bench NAME --iterations N\n"
-        "         --explore-iterations N --explore-slices N\n"
-        "         --power-cap W --deadline-s S --threads N --out FILE\n",
-        prog);
-    std::exit(2);
-}
-
-double
-doubleValue(const char *prog, const char *value)
-{
-    if (value == nullptr)
-        usage(prog);
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0')
-        usage(prog);
-    return v;
-}
-
-std::uint16_t
-benchFromName(const char *prog, const std::string &name)
-{
-    using workloads::Microbench;
-    for (std::uint16_t b = 0;
-         b <= static_cast<std::uint16_t>(Microbench::Phased); ++b) {
-        std::string n = workloads::microbenchName(
-            static_cast<Microbench>(b));
-        for (char &ch : n)
-            ch = static_cast<char>(std::tolower(
-                static_cast<unsigned char>(ch)));
-        if (n == name)
-            return b;
-    }
-    std::fprintf(stderr, "unknown bench '%s'\n", name.c_str());
-    usage(prog);
-}
 
 void
 printCandidate(const search::SearchSpace &space, const search::Candidate &c)
@@ -127,86 +81,47 @@ printEvaluation(const char *label, const search::Evaluation &ev,
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        usage(argv[0]);
-    std::string goal_arg = argv[1];
-    if (goal_arg == "minimize-epi") // CLI alias for the §16 example
-        goal_arg = "min-epi";
-
-    std::string engine = "sa";
-    std::string out_path;
+    std::string goal, engine = "sa", bench = "phased", out_path;
     std::uint16_t port = 0;
     unsigned threads = 1;
     search::SearcherOptions opts;
     search::SearchTask task;
-    task.objective.goal = search::Goal::MinEpi;
     std::uint32_t cores = 4;
     int chip_id = 2;
-    task.base.workload.bench =
-        static_cast<std::uint16_t>(workloads::Microbench::Phased);
     task.base.workload.iterations = 2;
     task.base.workload.threadsPerCore = 2;
     task.base.maxCycles = 50'000'000;
 
-    try {
-        task.objective.goal = search::goalFromName(goal_arg);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        usage(argv[0]);
-    }
-
-    for (int i = 2; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (std::strcmp(a, "--engine") == 0 && next != nullptr) {
-            engine = next;
-            ++i;
-        } else if (std::strcmp(a, "--seed") == 0) {
-            parseFlag(opts.seed, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--budget") == 0) {
-            parseFlag(opts.budget, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--batch") == 0) {
-            parseFlag(opts.batch, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--cores") == 0) {
-            parseFlag(cores, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--chip") == 0) {
-            parseFlag(chip_id, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--bench") == 0 && next != nullptr) {
-            task.base.workload.bench = benchFromName(argv[0], next);
-            ++i;
-        } else if (std::strcmp(a, "--iterations") == 0) {
-            parseFlag(task.base.workload.iterations, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--explore-iterations") == 0) {
-            parseFlag(task.exploreIterations, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--explore-slices") == 0) {
-            parseFlag(task.exploreSampledSlices, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--power-cap") == 0) {
-            task.objective.powerCapW = doubleValue(argv[0], next);
-            ++i;
-        } else if (std::strcmp(a, "--deadline-s") == 0) {
-            task.objective.deadlineS = doubleValue(argv[0], next);
-            ++i;
-        } else if (std::strcmp(a, "--threads") == 0) {
-            parseFlag(threads, argv[0], a, next, maxWorkerThreads());
-            ++i;
-        } else if (std::strcmp(a, "--port") == 0) {
-            parseFlag(port, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--out") == 0 && next != nullptr) {
-            out_path = next;
-            ++i;
-        } else {
-            usage(argv[0]);
-        }
-    }
+    // In workloads::Microbench order.
+    const std::vector<std::string> benches = {"int", "hp", "hist", "phased"};
+    CommandLine cli;
+    cli.choice("goal", goal,
+               {"minimize-epi", "min-epi", "min-energy-capped",
+                "max-throughput"})
+        .choice("--engine", engine, search::searcherNames())
+        .count("--seed", opts.seed)
+        .count("--budget", opts.budget, 1)
+        .count("--batch", opts.batch, 1)
+        .count("--cores", cores, 1, 25)
+        .count("--chip", chip_id, 1, 4)
+        .choice("--bench", bench, benches)
+        .count("--iterations", task.base.workload.iterations, 1)
+        .count("--explore-iterations", task.exploreIterations)
+        .count("--explore-slices", task.exploreSampledSlices)
+        .real("--power-cap", task.objective.powerCapW, 0.0, 1000.0)
+        .real("--deadline-s", task.objective.deadlineS, 0.0, 3600.0)
+        .count("--threads", threads, 0, maxWorkerThreads())
+        .count("--port", port)
+        .text("--out", out_path, "FILE")
+        .parse(argc, argv);
+    if (goal.empty())
+        cli.fail("missing goal");
+    // minimize-epi is the CLI alias of min-epi (the DESIGN.md §16
+    // example).
+    task.objective.goal =
+        search::goalFromName(goal == "minimize-epi" ? "min-epi" : goal);
+    task.base.workload.bench = static_cast<std::uint16_t>(
+        std::find(benches.begin(), benches.end(), bench) - benches.begin());
 
     try {
         task.base.chipId = chip_id;

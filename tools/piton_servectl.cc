@@ -18,37 +18,16 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/numeric_flag.hh"
+#include "common/cli.hh"
 #include "service/client.hh"
 
 namespace
 {
 
 using namespace piton;
-
-[[noreturn]] void
-usage(const char *prog)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--port N] <command>\n"
-                 "commands:\n"
-                 "  ping\n"
-                 "  stats\n"
-                 "  run <preset> [--samples N] [--deadline-ms N]"
-                 " [--repeat N] [--expect-identical]\n"
-                 "  shutdown\n"
-                 "presets:",
-                 prog);
-    for (const std::string &name : service::presetNames())
-        std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-}
 
 void
 printRail(const char *name, const service::RailStatsWire &s)
@@ -138,14 +117,30 @@ int
 main(int argc, char **argv)
 {
     std::uint16_t port = 7425;
-    int i = 1;
-    if (i + 1 < argc && std::strcmp(argv[i], "--port") == 0) {
-        parseFlag(port, argv[0], argv[i], argv[i + 1]);
-        i += 2;
-    }
-    if (i >= argc)
-        usage(argv[0]);
-    const std::string command = argv[i++];
+    std::string command, preset;
+    std::uint32_t samples = 0; // 0: the preset's own count
+    std::uint32_t deadline_ms = 0;
+    long repeat = 1;
+    bool expect_identical = false;
+    CommandLine cli;
+    cli.count("--port", port)
+        .count("--samples", samples, 1)
+        .count("--deadline-ms", deadline_ms)
+        .count("--repeat", repeat, 1)
+        .flag("--expect-identical", expect_identical)
+        .choice("command", command, {"ping", "stats", "run", "shutdown"})
+        .choice("preset", preset, service::presetNames())
+        .parse(argc, argv);
+    if (command.empty())
+        cli.fail("missing command");
+    if ((command == "run") == preset.empty())
+        cli.fail(preset.empty() ? "run needs a preset"
+                                : "only run takes a preset");
+    if (command != "run"
+        && (samples != 0 || deadline_ms != 0 || repeat != 1
+            || expect_identical))
+        cli.fail("only run takes --samples, --deadline-ms, --repeat and"
+                 " --expect-identical");
 
     try {
         service::TcpClient client(port);
@@ -164,30 +159,11 @@ main(int argc, char **argv)
             std::printf("server shut down\n");
             return 0;
         }
-        if (command != "run" || i >= argc)
-            usage(argv[0]);
 
-        service::ExperimentRequest req = service::presetRequest(argv[i++]);
-        long repeat = 1;
-        bool expect_identical = false;
-        for (; i < argc; ++i) {
-            const char *a = argv[i];
-            const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-            if (std::strcmp(a, "--samples") == 0) {
-                parseFlag(req.samples, argv[0], a, next);
-                ++i;
-            } else if (std::strcmp(a, "--deadline-ms") == 0) {
-                parseFlag(req.deadlineMs, argv[0], a, next);
-                ++i;
-            } else if (std::strcmp(a, "--repeat") == 0) {
-                parseFlag(repeat, argv[0], a, next);
-                ++i;
-            } else if (std::strcmp(a, "--expect-identical") == 0) {
-                expect_identical = true;
-            } else {
-                usage(argv[0]);
-            }
-        }
+        service::ExperimentRequest req = service::presetRequest(preset);
+        if (samples != 0)
+            req.samples = samples;
+        req.deadlineMs = deadline_ms;
 
         service::ClientResult first;
         for (long n = 0; n < repeat; ++n) {

@@ -27,13 +27,11 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
-#include "common/numeric_flag.hh"
 #include "service/server.hh"
 
 namespace
@@ -48,16 +46,6 @@ onSignal(int)
         gServer->requestStop(); // atomic store + self-pipe write
 }
 
-[[noreturn]] void
-usage(const char *prog)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--port N] [--threads N] [--max-pending N]"
-                 " [--cache-dir DIR] [--worker-id ID] [--log-level L]\n",
-                 prog);
-    std::exit(2);
-}
-
 } // namespace
 
 int
@@ -67,41 +55,18 @@ main(int argc, char **argv)
 
     service::ServerConfig cfg;
     cfg.port = 7425;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        if (std::strcmp(a, "--port") == 0) {
-            parseFlag(cfg.port, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--threads") == 0) {
-            parseFlag(cfg.scheduler.threads, argv[0], a, next,
-                      maxWorkerThreads());
-            ++i;
-        } else if (std::strcmp(a, "--max-pending") == 0) {
-            parseFlag(cfg.scheduler.maxPending, argv[0], a, next);
-            ++i;
-        } else if (std::strcmp(a, "--cache-dir") == 0) {
-            if (next == nullptr)
-                usage(argv[0]);
-            cfg.scheduler.resultCache.diskDir = next;
-            ++i;
-        } else if (std::strcmp(a, "--worker-id") == 0) {
-            if (next == nullptr)
-                usage(argv[0]);
-            cfg.workerId = next;
-            ++i;
-        } else if (std::strcmp(a, "--log-level") == 0) {
-            if (next == nullptr)
-                usage(argv[0]);
-            LogLevel level;
-            if (!parseLogLevel(next, level))
-                usage(argv[0]);
-            setLogLevel(level);
-            ++i;
-        } else {
-            usage(argv[0]);
-        }
-    }
+    std::string log_level;
+    CommandLine()
+        .count("--port", cfg.port)
+        .count("--threads", cfg.scheduler.threads, 0, maxWorkerThreads())
+        .count("--max-pending", cfg.scheduler.maxPending)
+        .text("--cache-dir", cfg.scheduler.resultCache.diskDir, "DIR")
+        .text("--worker-id", cfg.workerId, "ID")
+        .choice("--log-level", log_level, {"silent", "warn", "info", "debug"})
+        .parse(argc, argv);
+    LogLevel level;
+    if (parseLogLevel(log_level, level))
+        setLogLevel(level);
 
     service::ExperimentServer server(cfg);
     try {
