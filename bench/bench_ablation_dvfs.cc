@@ -59,8 +59,8 @@ runGoverned(piton::sim::SystemOptions opts, const piton::isa::Program &kernel,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::string policy, scenario;
@@ -148,4 +148,10 @@ main(int argc, char **argv)
                   << " mJ at " << fmtF(best_v, 2) << " V)\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -120,8 +120,8 @@ repairStudy()
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     piton::CommandLine().parse(argc, argv);
     bench::banner("Ablation",
@@ -130,4 +130,10 @@ main(int argc, char **argv)
     cdrStudy();
     repairStudy();
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -16,8 +16,8 @@
 #include "common/table.hh"
 #include "sim/system.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -53,4 +53,10 @@ main(int argc, char **argv)
                  " (Fig. 12), whose signal is a few mW, is\nexactly the"
                  " experiment that needed the full protocol.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

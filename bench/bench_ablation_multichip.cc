@@ -16,8 +16,8 @@
 #include "common/table.hh"
 #include "multichip/multichip.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -78,4 +78,10 @@ main(int argc, char **argv)
                  "scaling argument behind Piton's multi-socket design"
                  " (and CDR's role in\nbounding its directory state).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

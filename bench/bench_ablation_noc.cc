@@ -17,8 +17,8 @@
 #include "core/equations.hh"
 #include "sim/system.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -76,4 +76,10 @@ main(int argc, char **argv)
                  " links does the share\napproach the levels those"
                  " models assume.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -44,8 +44,8 @@ constexpr std::size_t kTraceRows = 12;
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 16;
@@ -112,4 +112,10 @@ main(int argc, char **argv)
                   << " series)\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

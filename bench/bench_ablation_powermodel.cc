@@ -15,8 +15,8 @@
 #include "isa/assembler.hh"
 #include "workloads/microbenchmarks.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 24;
@@ -86,4 +86,10 @@ main(int argc, char **argv)
                  " percent —\nexactly the workflow the paper's open"
                  " data enables.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -87,8 +87,8 @@ wallS(Clock::time_point t0)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     // --samples here is the phased kernel's outer repetition count: 96
     // reps give ~325 intervals, enough for the 8 slices to amortize to
@@ -256,4 +256,10 @@ main(int argc, char **argv)
         return ok ? 0 : 1;
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -17,8 +17,8 @@
 #include "config/piton_params.hh"
 #include "power/energy_model.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -78,4 +78,10 @@ main(int argc, char **argv)
                  "slice — the knob the memory-energy study (Table VII)"
                  " uses to steer local\nvs remote L2 hits.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -17,8 +17,8 @@
 #include "common/table.hh"
 #include "isa/program.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -77,4 +77,10 @@ main(int argc, char **argv)
                 " choice.\n",
                 (last_rollback_j / first_rollback_j - 1.0) * 100.0);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -172,8 +172,8 @@ printResults(const char *mode, const std::vector<PointResult> &results,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using Clock = std::chrono::steady_clock;
     std::uint32_t windows = 16;
@@ -267,4 +267,10 @@ main(int argc, char **argv)
                      " outputs are bit-identical.\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

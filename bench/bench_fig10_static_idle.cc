@@ -14,8 +14,8 @@
 #include "common/table.hh"
 #include "core/vf_experiments.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 48;
@@ -44,4 +44,10 @@ main(int argc, char **argv)
                  " frequency at 1.2 V drops below the 1.15 V point"
                  " (thermal limit).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

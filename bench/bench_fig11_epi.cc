@@ -13,8 +13,8 @@
 #include "common/table.hh"
 #include "core/epi_experiment.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 64;
@@ -56,4 +56,10 @@ main(int argc, char **argv)
                  " operand values shift EPI significantly;\nstx(F)"
                  " carries rollback energy above stx(NF).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -12,8 +12,8 @@
 #include "common/table.hh"
 #include "core/noc_experiment.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 64;
@@ -51,4 +51,10 @@ main(int argc, char **argv)
                  " instruction —\ncomputation, not on-chip data movement,"
                  " dominates chip power.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

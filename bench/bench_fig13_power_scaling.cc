@@ -12,8 +12,8 @@
 #include "common/table.hh"
 #include "core/scaling_experiments.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 48;
@@ -70,4 +70,10 @@ main(int argc, char **argv)
                  " 2 T/C rises then drops beyond ~17 cores\n(lock"
                  " contention + shrinking per-thread work).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -12,8 +12,8 @@
 #include "common/table.hh"
 #include "core/scaling_experiments.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     sim::SystemOptions opts;
@@ -68,4 +68,10 @@ main(int argc, char **argv)
                  "for Hist the memory/compute overlap makes"
                  " multithreading more energy efficient.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -16,8 +16,8 @@
 #include "common/table.hh"
 #include "config/piton_params.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -52,4 +52,10 @@ main(int argc, char **argv)
     std::cout << "Simulated average L2-miss latency: "
               << fmtF(lat.mean(), 1) << " cycles (Table VII: 424)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -14,8 +14,8 @@
 #include "core/app_experiments.hh"
 #include "telemetry/export.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::string out_dir;
@@ -60,4 +60,10 @@ main(int argc, char **argv)
                   << telem.seriesCount() << " series)\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

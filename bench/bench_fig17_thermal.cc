@@ -14,8 +14,8 @@
 #include "core/thermal_experiments.hh"
 #include "telemetry/export.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 24;
@@ -55,4 +55,10 @@ main(int argc, char **argv)
                  "package temperature; paper range ~36-56 C / 500-900"
                  " mW.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

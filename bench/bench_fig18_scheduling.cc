@@ -12,8 +12,8 @@
 #include "common/table.hh"
 #include "core/thermal_experiments.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 24;
@@ -63,4 +63,10 @@ main(int argc, char **argv)
                  " interleaving limits peak power and lowers average"
                  " temperature.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

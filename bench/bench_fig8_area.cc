@@ -33,8 +33,8 @@ printLevel(const piton::chip::AreaLevel &level)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -50,4 +50,10 @@ main(int argc, char **argv)
               << fmtF(100.0 * m.nocRouterTileFraction(), 2)
               << "% of the tile.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

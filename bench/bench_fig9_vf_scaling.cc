@@ -12,8 +12,8 @@
 #include "common/table.hh"
 #include "core/vf_experiments.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     unsigned threads = 0;
@@ -50,4 +50,10 @@ main(int argc, char **argv)
                  "next PLL quantization step (the failed test point /"
                  " error bar).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -47,8 +47,8 @@ phase2.workload  = int
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::string policy, scenario, out_dir;
@@ -111,4 +111,10 @@ main(int argc, char **argv)
            " static\nbaseline table.  Deterministic: bit-identical under"
            " either engine.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -129,8 +129,8 @@ checkIdentical(const char *what, const search::SearchResult &a,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     unsigned threads = 1;
     std::string out_dir;
@@ -290,4 +290,10 @@ main(int argc, char **argv)
     }
     std::fprintf(stderr, "\nverify: %d gate(s) FAILED\n", failures);
     return 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -83,8 +83,8 @@ burstRequest(std::uint32_t samples, std::uint64_t seed)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
 
@@ -239,4 +239,10 @@ main(int argc, char **argv)
             return 1;
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

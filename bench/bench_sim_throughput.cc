@@ -84,6 +84,46 @@ BM_PartialChipHP(benchmark::State &state)
 }
 BENCHMARK(BM_PartialChipHP);
 
+/**
+ * The memory phase of makePhasedEnergyProgram on 25 cores x 2 T/C
+ * (two L1-resident loads and two stores every seven instructions per
+ * thread), looping for ever.  The eight-entry store buffer stays full,
+ * so most store issues roll back (Fig. 11's stx(F)): those run inside
+ * the cores' run-ahead stretches, while the loads and the stores that
+ * enter the buffer pause them (DESIGN.md §9).  An item is one
+ * core-cycle (chip cycles x 25).
+ */
+void
+BM_StoreBurstChip(benchmark::State &state)
+{
+    sim::System sys;
+    const isa::Program p = isa::assemble(R"(
+        set 0xAAAAAAAAAAAAAAAA, %r9
+        set 0x5555555555555555, %r11
+    top:
+        set 0, %r20
+    memp:
+        ldx [%r1 + 0], %r12
+        stx %r11, [%r1 + 16]
+        ldx [%r1 + 32], %r13
+        stx %r9, [%r1 + 48]
+        add %r20, 1, %r20
+        cmp %r20, 300
+        bl memp
+        ba top
+    )");
+    for (TileId tile = 0; tile < 25; ++tile)
+        for (ThreadId tid = 0; tid < 2; ++tid)
+            sys.loadProgram(tile, tid, &p,
+                            {{1, workloads::kMixedDataBase
+                                     + (tile * 2 + tid) * Addr{0x1000}}});
+    sys.pitonChip().run(50000);
+    for (auto _ : state)
+        sys.pitonChip().run(5000);
+    state.SetItemsProcessed(state.iterations() * 5000 * 25);
+}
+BENCHMARK(BM_StoreBurstChip);
+
 void
 BM_MemorySystemL2Miss(benchmark::State &state)
 {

@@ -10,8 +10,8 @@
 #include "common/table.hh"
 #include "config/piton_params.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -32,4 +32,10 @@ main(int argc, char **argv)
     t.addRow({"UART Serial Port", fmtF(f.uartBps, 0) + " bps"});
     t.print(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

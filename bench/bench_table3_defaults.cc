@@ -10,8 +10,8 @@
 #include "common/table.hh"
 #include "config/piton_params.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -30,4 +30,10 @@ main(int argc, char **argv)
               << " Hz after steady state; errors are sample standard"
                  " deviations.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -15,8 +15,8 @@
 #include "common/cli.hh"
 #include "common/table.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -57,4 +57,10 @@ main(int argc, char **argv)
     }
     probs.print(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -13,8 +13,8 @@
 #include "common/table.hh"
 #include "core/vf_experiments.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 128;
@@ -41,4 +41,10 @@ main(int argc, char **argv)
                "1906.2±2.0 mW"});
     t3.print(std::cout);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

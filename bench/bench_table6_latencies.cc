@@ -50,8 +50,8 @@ measureLatency(const std::string &body, int count)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     piton::CommandLine().parse(argc, argv);
     bench::banner("Table VI", "Instruction latencies (simulation-verified)");
@@ -112,4 +112,10 @@ main(int argc, char **argv)
                  "cycles of buffer occupancy\n(drain-rate verified by the "
                  "stx(NF) EPI test, Fig. 11 bench).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

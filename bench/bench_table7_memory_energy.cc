@@ -12,8 +12,8 @@
 #include "common/table.hh"
 #include "core/epi_experiment.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     std::uint32_t samples = 128;
@@ -46,4 +46,10 @@ main(int argc, char **argv)
               << " - an L2 miss costs two orders of magnitude more than"
                  " any hit\n   (recompute rather than reload).\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -10,8 +10,8 @@
 #include "common/table.hh"
 #include "perfmodel/machine.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -62,4 +62,10 @@ main(int argc, char **argv)
               << fmtF(pt.memoryLatencyNs / t1.memoryLatencyNs, 1)
               << "x the T2000's.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -12,8 +12,8 @@
 #include "common/table.hh"
 #include "core/app_experiments.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace piton;
     CommandLine().parse(argc, argv);
@@ -61,4 +61,10 @@ main(int argc, char **argv)
                  " the best; hmmer and\nlibquantum draw the most power"
                  " (high I/O activity); energy tracks runtime.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

@@ -20,6 +20,7 @@
 #include <iostream>
 
 #include "arch/chipset.hh"
+#include "bench_util.hh"
 #include "chip/area_model.hh"
 #include "chip/yield_model.hh"
 #include "common/cli.hh"
@@ -48,8 +49,8 @@ writeCsv(const std::filesystem::path &dir, const std::string &name,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     std::string out = "open_data";
     bool full = false;
@@ -190,4 +191,10 @@ main(int argc, char **argv)
 
     std::cout << "\nfull export complete.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return piton::bench::guardedMain(argc, argv, benchMain);
 }

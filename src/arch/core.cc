@@ -125,13 +125,12 @@ Core::totalInsts() const
 void
 Core::tick(Cycle now)
 {
-    // Duty-gated: no issue, and also no lazy store-buffer pruning — the
-    // fast path never visits a gated core (nextEventCycle is kNever),
-    // so the legacy path must not do bookkeeping here either.  The
-    // drain is lazy/idempotent anyway; skipping it is invisible.
+    // Duty-gated: no issue (the fast path never visits a gated core,
+    // nextEventCycle is kNever).  No store-buffer drain here either: a
+    // store drains the buffer when it issues, and nothing else reads a
+    // completed entry (see drainStoreBuffer).
     if (dvfsGated_)
         return;
-    drainStoreBuffer(now);
 
     // Round-robin thread selection starting after the last issuer, so
     // two ready threads alternate cycle by cycle (fine-grained MT).
@@ -235,10 +234,39 @@ Core::runAhead(Cycle c, Cycle lim)
     for (std::size_t i = 0; i < threads_.size(); ++i)
         if (threads_[i].status == ThreadStatus::Ready)
             ready[i] = threads_[i].readyAt;
-    // Scaling the switch energy is deterministic, so hoisting it out
-    // of the loop keeps the charged bits identical.
-    const power::RailEnergy switch_e =
-        energy_.threadSwitchEnergy().scaled(dynFactor_);
+    // Stretch state in locals, written back once on return: this
+    // tile's energy accumulators and the log's write cursor (one entry
+    // per cycle at most, see runAhead's doc).  Members the loop reads
+    // are copied too, so the entry stores cannot force reloads.
+    power::TileEnergyLedger::Slot acc = tileEnergy_.load(tile_);
+    power::CapturedCharge *w = capLog_->reserve(lim - cur);
+    const Cycle base = capBase_;
+    const power::EnergyModel &energy = energy_;
+    const power::RailEnergy switch_e = capLog_->switchE;
+    // The stretch never runs drafted (the chip steps drafting cores in
+    // order), so chargeExec's scale is dynFactor_.
+    const double scale = dynFactor_;
+    const std::uint32_t sb_entries = params_.storeBufferEntries;
+    constexpr auto kExec = static_cast<std::uint16_t>(power::Category::Exec);
+    constexpr auto kRollback =
+        static_cast<std::uint16_t>(power::Category::Rollback);
+    // One log entry, written field by field in place: `src` scaled per
+    // rail exactly as RailEnergy::scaled does, kept in registers for
+    // the tile accumulators.
+    const auto put = [&](const power::RailEnergy &src, std::uint16_t cat,
+                         bool after_switch, std::uint32_t delta) {
+        const double vdd = src.get(power::Rail::Vdd) * scale;
+        const double vcs = src.get(power::Rail::Vcs) * scale;
+        const double vio = src.get(power::Rail::Vio) * scale;
+        w->e = power::RailEnergy(vdd, vcs, vio);
+        w->cycleDelta = delta;
+        w->cat = cat;
+        w->afterSwitch = after_switch;
+        ++w;
+        acc.vdd += vdd;
+        acc.vcs += vcs;
+        acc.vio += vio;
+    };
     std::uint32_t last = lastIssued_;
     for (;;) {
         // Round-robin pick, in tick()'s scan order: the sibling of
@@ -251,96 +279,138 @@ Core::runAhead(Cycle c, Cycle lim)
 
         // Pause before anything that would touch MemorySystem: a pc
         // past the end (issue()'s diagnostic must fire in global
-        // order), a load, store or CAS, or a fetch that misses both
-        // the MRU filter and the tile's own L1I (which no other tile
-        // ever touches: fills come only from this tile's misses).
-        // The next runAhead call starts with a tick at `cur` that
-        // re-picks the same thread, since nothing above mutates its
-        // inputs, pays the switch charge then, and drains the store
-        // buffer at `cur`, past every cycle this call issued at.
-        if (t.pc >= t.program->size())
+        // order), a fetch that misses both the MRU filter and the
+        // tile's own L1I (which no other tile ever touches: fills come
+        // only from this tile's misses), a load, a CAS, or a store
+        // that finds room in the buffer.  The next runAhead call
+        // starts with a tick at `cur` that re-picks the same thread,
+        // since nothing above mutates its inputs, and pays the switch
+        // charge then.
+        if (t.pc >= t.program->size()) {
+            r.cause = PauseCause::PcPastEnd;
+            r.paused = true;
             break;
+        }
         const isa::DecodedInst &d = t.program->decoded(t.pc);
-        if (d.kind == isa::IssueKind::Load || d.kind == isa::IssueKind::Store
-            || d.kind == isa::IssueKind::Cas)
-            break;
         const Addr fline = d.pc & l1iLineMask_;
         CacheLine *cl = t.fetchRef;
         if (!cl || t.fetchLine != fline || cl->tag != fline
             || !cl->valid()) [[unlikely]] {
             cl = mem_.l1iLine(tile_, fline);
-            if (!cl)
-                break; // I-fetch miss
+            if (!cl) {
+                r.cause = PauseCause::IFetchMiss;
+                r.paused = true;
+                break;
+            }
             t.fetchLine = fline;
             t.fetchRef = cl;
         }
+        if (d.kind == isa::IssueKind::Load) {
+            r.cause = PauseCause::Load;
+            r.paused = true;
+            break;
+        }
+        if (d.kind == isa::IssueKind::Cas) {
+            r.cause = PauseCause::Cas;
+            r.paused = true;
+            break;
+        }
+        if (d.kind == isa::IssueKind::Store) {
+            drainStoreBuffer(cur);
+            if (sbCount_ < sb_entries) {
+                r.cause = PauseCause::Store;
+                r.paused = true;
+                break;
+            }
+        }
 
-        // Committed to this issue: replicate tick()'s per-cycle
-        // charge order (thread switch, fetch, exec).
+        // Committed to this cycle: replicate tick()'s per-cycle charge
+        // order (thread switch, fetch, exec or rollback).  A switch
+        // folds into the entry that follows it.
         const std::uint32_t pc_issue = t.pc;
-        capCycle_ = cur;
-        if (pick != last) {
+        const bool switched = pick != last;
+        if (switched) {
             ++threadSwitches_;
-            charge(power::Category::Exec, switch_e);
+            acc.add(switch_e);
         }
         last = pick;
+        const auto delta = static_cast<std::uint32_t>(cur - base);
 
         cl->lastUse = cur; // the L1I hit's LRU touch
 
-        const isa::InstClass cls = d.cls;
-        switch (d.kind) {
-          case isa::IssueKind::Branch: {
-            chargeExec(cls, t.cc.zero, t.cc.negative);
-            const bool taken = isa::branchTaken(d.op, t.cc);
-            t.pc = taken ? d.target : t.pc + 1;
-            t.readyAt = ready[pick] = cur + d.latency;
-            break;
-          }
-          case isa::IssueKind::Halt:
-            t.status = ThreadStatus::Halted;
-            ready[pick] = kNever;
-            break;
-          default: {
-            const auto &srcs = d.fp ? t.fregs : t.regs;
-            const RegVal rs1 = srcs[d.rs1];
-            const RegVal rs2 =
-                d.useImm ? static_cast<RegVal>(d.imm) : srcs[d.rs2];
-            chargeExec(cls, rs1, rs2);
-            const isa::AluResult res = isa::evalAluOp(
-                d.op, d.imm, rs1, rs2, hwidBase_ + pick);
-            if (res.writesRd && (d.fp || d.rd != 0)) {
-                auto &dsts = d.fp ? t.fregs : t.regs;
-                dsts[d.rd] = res.value;
+        if (d.kind == isa::IssueKind::Store) {
+            // The buffer is full: roll back and replay the store once
+            // the head drains (issue()'s full-buffer branch); the pc
+            // stays and nothing retires.
+            ++t.storeRollbacks;
+            put(energy.rollbackEnergy(), kRollback, switched, delta);
+            t.readyAt = ready[pick] = storeBuffer_[sbHead_];
+        } else {
+            const isa::InstClass cls = d.cls;
+            switch (d.kind) {
+              case isa::IssueKind::Branch: {
+                put(energy.instructionEnergy(
+                        cls, power::EnergyModel::operandActivity(
+                                 t.cc.zero, t.cc.negative)),
+                    kExec, switched, delta);
+                const bool taken = isa::branchTaken(d.op, t.cc);
+                t.pc = taken ? d.target : t.pc + 1;
+                t.readyAt = ready[pick] = cur + d.latency;
+                break;
+              }
+              case isa::IssueKind::Halt:
+                // Halt charges nothing: a switch into it keeps an
+                // entry of its own.
+                if (switched) {
+                    w->e = switch_e;
+                    w->cycleDelta = delta;
+                    w->cat = kExec;
+                    w->afterSwitch = false;
+                    ++w;
+                }
+                t.status = ThreadStatus::Halted;
+                ready[pick] = kNever;
+                break;
+              default: {
+                const auto &srcs = d.fp ? t.fregs : t.regs;
+                const RegVal rs1 = srcs[d.rs1];
+                const RegVal rs2 =
+                    d.useImm ? static_cast<RegVal>(d.imm) : srcs[d.rs2];
+                put(energy.instructionEnergy(
+                        cls, power::EnergyModel::operandActivity(rs1, rs2)),
+                    kExec, switched, delta);
+                const isa::AluResult res = isa::evalAluOp(
+                    d.op, d.imm, rs1, rs2, hwidBase_ + pick);
+                if (res.writesRd && (d.fp || d.rd != 0)) {
+                    auto &dsts = d.fp ? t.fregs : t.regs;
+                    dsts[d.rd] = res.value;
+                }
+                if (res.setsCc)
+                    t.cc = res.cc;
+                ++t.pc;
+                t.readyAt = ready[pick] = cur + d.latency;
+                break;
+              }
             }
-            if (res.setsCc)
-                t.cc = res.cc;
-            ++t.pc;
-            t.readyAt = ready[pick] = cur + d.latency;
-            break;
-          }
+            ++t.classCounts[static_cast<std::size_t>(cls)];
+            ++t.instsExecuted;
+            if (bbvShift_ != 0)
+                noteBbv(pick, pc_issue);
         }
-        ++t.classCounts[static_cast<std::size_t>(cls)];
-        ++t.instsExecuted;
-        if (bbvShift_ != 0)
-            noteBbv(pick, pc_issue);
-
         r.last = cur;
+
         const Cycle next = std::max(cur + 1, std::min(ready[0], ready[1]));
         if (next >= lim) {
-            // tick() drains the store buffer on every tick; ALU,
-            // branch and halt issue never read it and drains are
-            // monotone in time, so one drain at the last issue cycle
-            // leaves the identical buffer.
-            drainStoreBuffer(cur);
-            lastIssued_ = last;
             r.next = next; // kNever once every slot has halted
-            return r;
+            break;
         }
         cur = next;
     }
+    if (r.paused)
+        r.next = cur;
+    capLog_->commit(w);
+    tileEnergy_.store(tile_, acc);
     lastIssued_ = last;
-    r.next = cur;
-    r.paused = true;
     return r;
 }
 

@@ -122,9 +122,9 @@ class Core
                      const std::vector<std::pair<int, RegVal>> &init_regs = {});
 
     /**
-     * Advance the core at cycle `now`: prune completed store-buffer
-     * entries, pick a ready thread (round-robin, or ExecD's MinPC
-     * policy under Execution Drafting) and issue its next instruction.
+     * Advance the core at cycle `now`: pick a ready thread
+     * (round-robin, or ExecD's MinPC policy under Execution Drafting)
+     * and issue its next instruction.
      * The in-order stepper (PitonChip::runLegacy) calls this for every
      * core at every stepped cycle; the fast path calls it only for a
      * core with work at `now`.
@@ -170,6 +170,21 @@ class Core
         return next;
     }
 
+    /** Why a run-ahead slice stopped before an event (see runAhead);
+     *  RoundStart tags a core's first event of a round. */
+    enum class PauseCause : std::uint8_t
+    {
+        RoundStart,
+        Load,
+        Store,      ///< a store that enters the buffer
+        Cas,
+        IFetchMiss,
+        PcPastEnd,  ///< issue() throws ProgramFault at the pop
+        NumCauses
+    };
+    static constexpr std::size_t kNumPauseCauses =
+        static_cast<std::size_t>(PauseCause::NumCauses);
+
     /** Outcome of a run-ahead slice (see runAhead). */
     struct AheadResult
     {
@@ -181,32 +196,46 @@ class Core
         Cycle last = 0;
         /** Stopped *before* a shared-memory op at cycle `next`. */
         bool paused = false;
+        /** When paused: what the op at `next` is. */
+        PauseCause cause = PauseCause::RoundStart;
     };
 
     /**
      * Run-ahead slice for the chip's run-ahead round: tick() the event
      * at cycle `c` (the chip calls this in global (cycle, core) order,
      * so that event may touch MemorySystem), then run this core's
-     * events in (c, lim) as long as they are provably core-local
-     * (ALU/branch/halt instructions whose fetch hits the tile's own
-     * L1I).  The slice pauses *before* the first later event that
-     * would touch MemorySystem (load/store/CAS or an I-fetch miss); the
-     * chip queues it and calls runAhead again at that cycle.  Energy
-     * charges are expected to be captured (beginCapture here,
-     * EnergyLedger::beginCapture for the memory side) and replayed in
-     * global order.
+     * events in (c, lim) as long as they are provably core-local, in a
+     * stretch that never reads or writes MemorySystem state beyond the
+     * tile's own L1I.  Core-local are ALU, branch and halt instructions
+     * and a store that finds the buffer full, each only when its fetch
+     * hits the tile's L1I.  The full-buffer store is a rollback: it
+     * drains the buffer at its cycle, pays the switch and rollback
+     * charges and waits for the buffer head's completion — all core
+     * state, so it needs no global order (the paper's stx(F) case).
+     * The stretch pauses *before* the first later event that would
+     * touch MemorySystem: a load, a CAS, a store that enters the
+     * buffer, an I-fetch miss or a pc past the end (whose diagnostic
+     * must fire in global order); the chip queues it and calls
+     * runAhead again at that cycle.  Energy charges are expected to be
+     * captured (beginCapture here, EnergyLedger::beginCapture for the
+     * memory side) and replayed in global order.
      *
      * Covers plain round-robin issue over one or two thread slots,
      * whatever the thread status or store-buffer occupancy; the chip
      * never calls it on a core with Execution Drafting or a trace hook
      * (those step in order).  A slot that is not Ready reads as never
      * ready in a local copy of the issue times.  After the tick at `c`
-     * it executes ALU/branch/halt instructions in a tight loop that
-     * skips tick()'s pick scan, per-tick store-buffer drain and
-     * next-event recomputation.  The buffer is drained once, at the
-     * last issue cycle, when the slice ends (a pause leaves that to the
-     * next call's tick).  Charge order per cycle (switch, fetch, exec)
-     * matches tick().
+     * the stretch skips tick()'s pick scan and next-event
+     * recomputation, and keeps its state in locals: the tile's energy
+     * accumulators and the log's write cursor are loaded once and
+     * written back once when it returns.  It issues at most one
+     * instruction per cycle and writes at most one log entry per issue
+     * (a thread switch rides as afterSwitch on the exec or rollback
+     * entry that follows it; only a switch into a halt, which charges
+     * nothing else, keeps an entry of its own), so one reserve of an
+     * entry per cycle left covers the stretch.  Like issue(), it drains
+     * the store buffer only at a store.  Charge order per cycle (switch,
+     * fetch, exec or rollback) matches tick().
      */
     AheadResult runAhead(Cycle c, Cycle lim);
 
@@ -239,13 +268,16 @@ class Core
      * The chip's run-ahead round calls this once per participating
      * core; because the diverted state is core-owned, a core's
      * core-local stretch captures without touching the shared ledger
-     * (DESIGN.md §9).  The core's charge cycle is maintained
+     * (DESIGN.md §9).  Sets the log's switchE, the charge its folded
+     * switch entries replay.  The core's charge cycle is maintained
      * internally by runAhead (capCycle_).
      */
-    void beginCapture(std::vector<power::CapturedCharge> *log, Cycle base)
+    void
+    beginCapture(power::ChargeLog *log, Cycle base)
     {
         capLog_ = log;
         capBase_ = base;
+        log->switchE = energy_.threadSwitchEnergy().scaled(dynFactor_);
     }
     void endCapture() { capLog_ = nullptr; }
 
@@ -253,9 +285,10 @@ class Core
     std::size_t storeBufferDepth(Cycle now) const;
 
     /** Prune store-buffer entries that completed by `now`.  Idempotent
-     *  and monotone in time: nothing reads a completed entry, so
-     *  pruning early is invisible.  tick() calls it every cycle; the
-     *  chip calls it on save so images do not depend on the engine. */
+     *  and monotone in time: nothing reads a completed entry, so when
+     *  pruning happens is invisible.  A store calls it as it issues
+     *  (the only reader of the occupancy); the chip calls it on save so
+     *  images do not depend on how far either engine pruned. */
     void drainStoreBuffer(Cycle now);
 
     // ---- BBV profiling (DESIGN.md §14) -------------------------------
@@ -297,15 +330,16 @@ class Core
   private:
     void issue(ThreadState &t, ThreadId tid, Cycle now);
 
-    /** Charge to the chip ledger and the per-tile accumulator.
+    /** Charge to the chip ledger and the per-tile accumulator — the
+     *  path of tick() (legacy stepping and the event a run-ahead slice
+     *  pops); runAhead's stretch writes its entries in place instead.
      *  Forced inline: this is called once or twice per issued
-     *  instruction, and GCC otherwise leaves out-of-line calls in the
-     *  runAhead loop.  Under a core capture the chip-ledger share lands
-     *  in the core-owned log — no shared ledger access, so a
-     *  core-local stretch may run out of global cycle order; replay
-     *  applies it later.  The per-tile share is added here either way:
-     *  the tile's slot only ever receives this core's charges, in this
-     *  order. */
+     *  instruction.  Under a core capture the chip-ledger share lands
+     *  in the core-owned log, one entry per charge — no shared ledger
+     *  access, so the core's events may run out of global cycle order;
+     *  replay applies them later.  The per-tile share is added here
+     *  either way: the tile's slot only ever receives this core's
+     *  charges, in this order. */
 #if defined(__GNUC__)
     [[gnu::always_inline]]
 #endif
@@ -313,9 +347,8 @@ class Core
     charge(power::Category c, const power::RailEnergy &e)
     {
         if (capLog_)
-            capLog_->push_back(
-                {e, static_cast<std::uint32_t>(capCycle_ - capBase_),
-                 static_cast<std::uint8_t>(c)});
+            capLog_->push(e, static_cast<std::uint32_t>(capCycle_ - capBase_),
+                          static_cast<std::uint16_t>(c));
         else
             ledger_.add(c, e);
         tileEnergy_.add(tile_, e);
@@ -374,7 +407,7 @@ class Core
     std::uint32_t bbvShift_ = 0;
     std::uint32_t bbvBuckets_ = 0;
     /** Active charge-capture log (see beginCapture), or nullptr. */
-    std::vector<power::CapturedCharge> *capLog_ = nullptr;
+    power::ChargeLog *capLog_ = nullptr;
     Cycle capBase_ = 0;
     /** Cycle tag for captured charges; runAhead sets it before every
      *  event it executes. */

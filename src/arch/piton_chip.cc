@@ -43,6 +43,8 @@ PitonChip::resetEnergy()
     ledger_.reset();
     tileEnergy_.reset();
     runAheadRounds_ = 0;
+    runAheadPops_ = 0;
+    popsByCause_ = {};
     for (auto &log : chargeLogs_)
         log.clear();
     pauseCores_ = {};
@@ -120,11 +122,11 @@ PitonChip::runLegacy(Cycle max_cycles)
  * runs in global (cycle, core index) order, and the charge replay adds
  * every energy charge in that order, so instructions issue — and energy
  * is charged — in the identical per-instruction order.  Legacy
- * additionally calls tick() on cores with no ready thread, but those
- * calls only prune completed store-buffer entries, which no consumer of
- * the buffer can observe (each re-drains or filters by completion
- * cycle); serialize drains every buffer at now_ on save, so checkpoint
- * images match too.
+ * additionally calls tick() on cores with no ready thread, which do
+ * nothing there.  Neither engine prunes completed store-buffer entries
+ * except at a store (no consumer of the buffer can observe a completed
+ * entry: each re-drains or filters by completion cycle), and serialize
+ * drains every buffer at now_ on save, so checkpoint images match too.
  */
 PitonChip::RunResult
 PitonChip::runFast(Cycle max_cycles)
@@ -181,6 +183,8 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
             continue;
         cores_[i]->beginCapture(&chargeLogs_[i], start);
         queue(i, e);
+        ++popsByCause_[static_cast<std::size_t>(
+            Core::PauseCause::RoundStart)];
     }
 
     // Serve queued events in global (cycle, core index) order — the
@@ -203,12 +207,15 @@ PitonChip::runAheadRound(Cycle start, Cycle lim)
         if (cores == 0)
             pauseCycles_ &= pauseCycles_ - 1;
         ledger_.beginCapture(&chargeLogs_[i], start);
+        ++runAheadPops_;
         const Core::AheadResult r = cores_[i]->runAhead(start + off, lim);
         maxLast = std::max(maxLast, r.last);
-        if (r.paused)
+        if (r.paused) {
             queue(i, r.next);
-        else
+            ++popsByCause_[static_cast<std::size_t>(r.cause)];
+        } else {
             nextAt_[i] = r.next;
+        }
     }
     ledger_.endCapture();
     for (auto &core : cores_)
@@ -386,12 +393,11 @@ PitonChip::serialize(ckpt::Archive &ar)
 
     // Cores last: the fetch-filter handles re-resolve against the
     // restored L1I arrays.  On save, every store buffer is first
-    // drained at now_: in-order stepping prunes completed entries on
-    // every tick of every core, the fast path only on the cores it
-    // visits, so without this the same architectural state would save
-    // to different bytes under each engine.  Images from before this
-    // drain still load; their completed entries drain on the first
-    // tick.
+    // drained at now_, so an image holds only the stores still in
+    // flight, whatever either engine pruned before (when a drain runs
+    // is invisible, see Core::drainStoreBuffer).  Images from before
+    // this drain still load; their completed entries drain at the next
+    // store.
     if (ar.saving())
         for (auto &core : cores_)
             core->drainStoreBuffer(now_);
@@ -428,6 +434,8 @@ PitonChip::serialize(ckpt::Archive &ar)
     // survives).
     if (ar.loading()) {
         runAheadRounds_ = 0;
+        runAheadPops_ = 0;
+        popsByCause_ = {};
         for (auto &log : chargeLogs_)
             log.clear();
         pauseCores_ = {};

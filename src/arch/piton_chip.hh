@@ -78,6 +78,18 @@ class PitonChip
      *  (diagnostics; reset by resetEnergy and on restore). */
     std::uint64_t runAheadRounds() const { return runAheadRounds_; }
 
+    /** Events the fast path's rounds have popped from their pause
+     *  queues, in all and by cause: each participating core's first
+     *  event of a round (RoundStart), then every shared-memory op a
+     *  core-local stretch paused before (Core::runAhead).  Diagnostics,
+     *  reset with runAheadRounds(). */
+    std::uint64_t runAheadPops() const { return runAheadPops_; }
+    std::uint64_t
+    runAheadPops(Core::PauseCause cause) const
+    {
+        return popsByCause_[static_cast<std::size_t>(cause)];
+    }
+
     Cycle now() const { return now_; }
 
     const power::EnergyLedger &ledger() const { return ledger_; }
@@ -202,8 +214,11 @@ class PitonChip
     /** Cycles per run-ahead round: big enough to amortize the round's
      *  setup and keep each core's slice long (hot state, trained
      *  branches), small enough that the charge logs stay cache
-     *  resident (25 cores x 64 cycles x ~2 charges x 32 B ~ 100 KB).
-     *  At most 64, so a round's queued cycles fit one occupancy word. */
+     *  resident: a core-local stretch writes at most one entry per
+     *  cycle (a thread switch folds into the entry after it), so
+     *  25 cores x 64 cycles x 32 B ~ 50 KB plus the few entries of
+     *  the popped events.  At most 64, so a round's queued cycles fit
+     *  one occupancy word. */
     static constexpr Cycle kRoundCycles = 64;
     static_assert(kRoundCycles <= 64, "queue occupancy is one 64-bit word");
 
@@ -226,7 +241,7 @@ class PitonChip
     std::vector<Cycle> nextAt_;
     /** Run-ahead round scratch (persistent to keep capacity): per-core
      *  captured-charge logs and replay cursors. */
-    std::vector<std::vector<power::CapturedCharge>> chargeLogs_;
+    std::vector<power::ChargeLog> chargeLogs_;
     std::vector<power::ReplayCursor> replayCursors_;
     /** Queued events of the current round (each core's first event,
      *  then the shared ops it paused at), as a bucket queue: bit i of
@@ -237,6 +252,8 @@ class PitonChip
     std::uint64_t pauseCycles_ = 0;
     std::uint32_t bbvBuckets_ = 0;
     std::uint64_t runAheadRounds_ = 0;
+    std::uint64_t runAheadPops_ = 0;
+    std::array<std::uint64_t, Core::kNumPauseCauses> popsByCause_{};
 };
 
 } // namespace piton::arch

@@ -269,21 +269,83 @@ class EnergyModel
  * of the intercepted add().  Replaying the captures in (cycle, actor)
  * order reproduces the accumulator sums bit for bit, since each replay
  * performs the identical double additions in the identical order.
+ *
+ * `afterSwitch` folds a thread-switch charge into the entry that
+ * follows it at the same (cycle, core): replay first adds the log's
+ * switchE as an Exec charge, then the entry itself — the two adds the
+ * unfolded pair would make, in the same order (Core::runAhead).
  */
 struct CapturedCharge
 {
     RailEnergy e;
     std::uint32_t cycleDelta = 0; ///< cycle - capture base
-    std::uint8_t cat = 0;         ///< Category
+    /** Category.  Not a character type: a store through one may alias
+     *  anything, which would make the stretch reload every member it
+     *  reads after each entry it writes. */
+    std::uint16_t cat = 0;
+    bool afterSwitch = false;     ///< replay switchE first
 };
 static_assert(sizeof(CapturedCharge) == 32,
               "capture entries stream through caches on the hot path");
+
+/**
+ * One core's capture log for a run-ahead round.  Entries past end()
+ * are allocated storage that keeps its capacity across rounds, so a
+ * writer that reserve()s room for k entries may fill them in place
+ * through the returned cursor and commit() the end, with one capacity
+ * check for the lot (Core::runAhead's stretch); push() is the one-entry
+ * form the ledger capture and Core::charge use.
+ */
+class ChargeLog
+{
+  public:
+    bool empty() const { return n_ == 0; }
+    const CapturedCharge *begin() const { return buf_.data(); }
+    const CapturedCharge *end() const { return buf_.data() + n_; }
+    void clear() { n_ = 0; }
+
+    /** Write cursor with room for `k` more entries. */
+    CapturedCharge *
+    reserve(std::size_t k)
+    {
+        if (buf_.size() - n_ < k) [[unlikely]]
+            buf_.resize(std::max(2 * buf_.size(), n_ + k + 64));
+        return buf_.data() + n_;
+    }
+    /** Take every entry below `end` (a cursor from reserve()). */
+    void
+    commit(const CapturedCharge *end)
+    {
+        n_ = static_cast<std::size_t>(end - buf_.data());
+    }
+
+    void
+    push(const RailEnergy &e, std::uint32_t delta, std::uint16_t cat,
+         bool after_switch = false)
+    {
+        CapturedCharge *w = reserve(1);
+        w->e = e;
+        w->cycleDelta = delta;
+        w->cat = cat;
+        w->afterSwitch = after_switch;
+        ++n_;
+    }
+
+    /** The owning core's thread-switch charge, replayed before each
+     *  entry flagged afterSwitch. */
+    RailEnergy switchE;
+
+  private:
+    std::vector<CapturedCharge> buf_;
+    std::size_t n_ = 0;
+};
 
 /** One log with entries left in EnergyLedger::replayCaptures' walk. */
 struct ReplayCursor
 {
     const CapturedCharge *next; ///< first entry not yet replayed
     const CapturedCharge *end;
+    const RailEnergy *switchE;  ///< the log's folded switch charge
 };
 
 /**
@@ -313,6 +375,33 @@ class TileEnergyLedger
         vdd_[tile] += e.get(Rail::Vdd);
         vcs_[tile] += e.get(Rail::Vcs);
         vio_[tile] += e.get(Rail::Vio);
+    }
+
+    /** One tile's three accumulators by value, for a writer that adds
+     *  a run of charges in registers and stores them back once
+     *  (Core::runAhead's stretch): the same adds in the same order. */
+    struct Slot
+    {
+        double vdd, vcs, vio;
+
+        void
+        add(const RailEnergy &e)
+        {
+            vdd += e.get(Rail::Vdd);
+            vcs += e.get(Rail::Vcs);
+            vio += e.get(Rail::Vio);
+        }
+    };
+    Slot load(std::size_t tile) const
+    {
+        return {vdd_[tile], vcs_[tile], vio_[tile]};
+    }
+    void
+    store(std::size_t tile, const Slot &s)
+    {
+        vdd_[tile] = s.vdd;
+        vcs_[tile] = s.vcs;
+        vio_[tile] = s.vio;
     }
 
     /** Reassembled per-tile total (telemetry-facing AoS view). */
@@ -370,9 +459,9 @@ class EnergyLedger
     add(Category c, const RailEnergy &e)
     {
         if (capture_) {
-            capture_->push_back(
-                {e, static_cast<std::uint32_t>(captureCycle_ - captureBase_),
-                 static_cast<std::uint8_t>(c)});
+            capture_->push(
+                e, static_cast<std::uint32_t>(captureCycle_ - captureBase_),
+                static_cast<std::uint16_t>(c));
             return;
         }
         byCat_[static_cast<std::size_t>(c)] += e;
@@ -390,7 +479,7 @@ class EnergyLedger
      * via setCaptureCycle().
      */
     void
-    beginCapture(std::vector<CapturedCharge> *log, Cycle base)
+    beginCapture(ChargeLog *log, Cycle base)
     {
         capture_ = log;
         captureBase_ = base;
@@ -411,6 +500,9 @@ class EnergyLedger
      * in which a few of many actors ran visits only those logs per
      * distinct cycle, and a cursor drops out once its log is spent.
      *
+     * An entry flagged afterSwitch first adds its log's switchE as an
+     * Exec charge (the folded thread switch, see CapturedCharge).
+     *
      * Defined inline so the running total and the Exec category — the
      * category of nearly every charge — stay in registers across the
      * whole walk instead of round-tripping through memory on every
@@ -422,14 +514,14 @@ class EnergyLedger
     replayCaptures(const Logs &logs, std::vector<ReplayCursor> &active)
     {
         constexpr std::uint32_t kNoDelta = ~std::uint32_t{0};
-        constexpr auto kExec = static_cast<std::uint8_t>(Category::Exec);
+        constexpr auto kExec = static_cast<std::uint16_t>(Category::Exec);
         std::uint32_t d = kNoDelta;
         active.clear();
         for (const auto &log : logs) {
             if (log.empty())
                 continue;
-            active.push_back({log.data(), log.data() + log.size()});
-            d = std::min(d, log.front().cycleDelta);
+            active.push_back({log.begin(), log.end(), &log.switchE});
+            d = std::min(d, log.begin()->cycleDelta);
         }
         RailEnergy tot = total_;        // register-resident chains
         RailEnergy exec = byCat_[kExec];
@@ -437,7 +529,12 @@ class EnergyLedger
             std::uint32_t next_d = kNoDelta;
             std::size_t kept = 0;
             for (ReplayCursor c : active) {
+                const RailEnergy sw = *c.switchE;
                 for (; c.next != c.end && c.next->cycleDelta == d; ++c.next) {
+                    if (c.next->afterSwitch) {
+                        exec += sw;
+                        tot += sw;
+                    }
                     const RailEnergy &e = c.next->e;
                     if (c.next->cat == kExec)
                         exec += e;
@@ -492,7 +589,7 @@ class EnergyLedger
   private:
     std::array<RailEnergy, kNumCategories> byCat_{};
     RailEnergy total_;
-    std::vector<CapturedCharge> *capture_ = nullptr;
+    ChargeLog *capture_ = nullptr;
     Cycle captureCycle_ = 0;
     Cycle captureBase_ = 0;
 };

@@ -30,6 +30,9 @@ constexpr std::size_t kNumRails = 3;
 class RailEnergy
 {
   public:
+    RailEnergy() = default;
+    RailEnergy(double vdd, double vcs, double vio) : e_{vdd, vcs, vio} {}
+
     void
     add(Rail r, double joules)
     {

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -409,6 +410,321 @@ TEST(FastPathEquivalenceStress, StoreBufferPressureIsBitIdentical)
     const auto fast = run(true);
     EXPECT_TRUE(fast.allHalted);
     expectEqualFingerprints(fast, legacy);
+}
+
+// ---- core-local stretch paths (DESIGN.md §9) ------------------------
+//
+// A store that finds the buffer full rolls back inside the core's
+// run-ahead stretch, and the stretch folds a thread switch into the
+// entry after it.  Each case below compares the two engines on the
+// fingerprint plus what those paths touch: per-thread store rollbacks,
+// per-core thread switches and the chip's checkpoint image.
+
+/** RunFingerprint plus the stretch paths' own state. */
+struct StretchRun
+{
+    RunFingerprint fp;
+    std::vector<std::uint64_t> storeRollbacks; ///< per (tile, thread)
+    std::vector<std::uint64_t> threadSwitches; ///< per tile
+    std::vector<std::uint8_t> image;
+    /** Fast engine only: events its rounds popped for a store. */
+    std::uint64_t storePops = 0;
+};
+
+StretchRun
+stretchRun(arch::PitonChip &chip, const arch::PitonChip::RunResult &r)
+{
+    StretchRun s;
+    s.fp = fingerprint(chip, r);
+    for (TileId tile = 0; tile < chip.params().tileCount; ++tile) {
+        const arch::Core &core = chip.core(tile);
+        for (ThreadId tid = 0; tid < core.threadCount(); ++tid)
+            s.storeRollbacks.push_back(core.thread(tid).storeRollbacks);
+        s.threadSwitches.push_back(core.threadSwitches());
+    }
+    s.image = chip.saveBytes();
+    s.storePops = chip.runAheadPops(arch::Core::PauseCause::Store);
+    return s;
+}
+
+std::uint64_t
+sumOf(const std::vector<std::uint64_t> &v)
+{
+    std::uint64_t n = 0;
+    for (const std::uint64_t x : v)
+        n += x;
+    return n;
+}
+
+void
+expectEqualStretchRuns(const StretchRun &fast, const StretchRun &legacy)
+{
+    expectEqualFingerprints(fast.fp, legacy.fp);
+    EXPECT_EQ(fast.storeRollbacks, legacy.storeRollbacks);
+    EXPECT_EQ(fast.threadSwitches, legacy.threadSwitches);
+    EXPECT_TRUE(fast.image == legacy.image) << "checkpoint images differ";
+}
+
+/** Run `load`ed programs for `cycles` on both engines and compare;
+ *  returns the fast run. */
+template <typename Load>
+StretchRun
+expectEqualStretchEngines(sim::SystemOptions opts, Cycle cycles, Load &&load)
+{
+    const auto run = [&](bool fast_path) {
+        opts.fastPath = fast_path;
+        sim::System sys(opts);
+        [[maybe_unused]] const auto programs = load(sys);
+        const auto r = sys.pitonChip().run(cycles);
+        return stretchRun(sys.pitonChip(), r);
+    };
+    const StretchRun legacy = run(false);
+    StretchRun fast = run(true);
+    expectEqualStretchRuns(fast, legacy);
+    return fast;
+}
+
+/** Nine stores per pass to lines no cache holds: the first eight fill
+ *  the buffer with off-chip write misses, hundreds of cycles each, and
+ *  the ninth rolls back one cycle after the eighth entered, inside the
+ *  stretch that followed that store's pop.  Its retry waits for the
+ *  head's completion, well past the round's 64-cycle limit, so the
+ *  stretch ends on the rollback instead of pausing. */
+const isa::Program &
+missingStoresProgram()
+{
+    static const isa::Program p = isa::assemble(R"(
+        set 0, %r3
+    loop:
+        stx %r3, [%r1 + 0]
+        stx %r3, [%r1 + 64]
+        stx %r3, [%r1 + 128]
+        stx %r3, [%r1 + 192]
+        stx %r3, [%r1 + 256]
+        stx %r3, [%r1 + 320]
+        stx %r3, [%r1 + 384]
+        stx %r3, [%r1 + 448]
+        stx %r3, [%r1 + 512]
+        add %r1, 4096, %r1
+        add %r3, 1, %r3
+        cmp %r3, 12
+        bl loop
+        halt
+    )");
+    return p;
+}
+
+TEST(StretchEquivalence, RollbackRetryPastTheRoundLimit)
+{
+    const StretchRun fast =
+        expectEqualStretchEngines({}, 400000, [](sim::System &sys) {
+            const isa::Program &p = missingStoresProgram();
+            for (TileId tile = 0; tile < 9; ++tile)
+                for (ThreadId tid = 0; tid < 2; ++tid)
+                    sys.loadProgram(
+                        tile, tid, &p,
+                        {{1, 0x4000000 + (tile * 2 + tid) * Addr{0x100000}}});
+            return 0; // the program is static
+        });
+    EXPECT_TRUE(fast.fp.allHalted);
+    // Every store retires once: 18 threads x 12 passes x 9 stores, and
+    // each one pops at most once; the rollbacks never pop.
+    const std::uint64_t stores = 18 * 12 * 9;
+    EXPECT_GT(sumOf(fast.storeRollbacks), 0u);
+    EXPECT_LE(fast.storePops, stores);
+}
+
+TEST(StretchEquivalence, OneThreadCoreWithAFullBuffer)
+{
+    sim::SystemOptions opts;
+    opts.cfg.piton.threadsPerCore = 1;
+    const isa::Program burst = isa::assemble(R"(
+        set 0x20000, %r1
+        set 0, %r3
+    loop:
+        stx %r3, [%r1 + 0]
+        stx %r3, [%r1 + 8]
+        stx %r3, [%r1 + 16]
+        stx %r3, [%r1 + 24]
+        add %r3, 1, %r3
+        cmp %r3, 300
+        bl loop
+        halt
+    )");
+    const StretchRun fast =
+        expectEqualStretchEngines(opts, 400000, [&](sim::System &sys) {
+            for (TileId tile = 0; tile < 4; ++tile)
+                sys.loadProgram(tile, 0, &burst,
+                                {{1, 0x20000 + tile * Addr{0x1000}}});
+            return 0;
+        });
+    EXPECT_TRUE(fast.fp.allHalted);
+    EXPECT_EQ(fast.storeRollbacks.size(), 25u);
+    EXPECT_GT(sumOf(fast.storeRollbacks), 0u);
+    EXPECT_LE(fast.storePops, 4u * 300 * 4);
+    EXPECT_EQ(sumOf(fast.threadSwitches), 0u);
+}
+
+/** Two threads interleave single-cycle ALU loops of different lengths,
+ *  so each halt issues right after the sibling did: a thread switch
+ *  into a halt, which charges nothing else, in the middle of a
+ *  stretch (the loops are L1I-resident after the first pass). */
+TEST(StretchEquivalence, SwitchFollowedByAHalt)
+{
+    const auto looper = [](int n) {
+        return isa::assemble("set 0, %r1\n"
+                             "loop:\n"
+                             "add %r1, 1, %r1\n"
+                             "xor %r1, %r2, %r3\n"
+                             "cmp %r1, " + std::to_string(n) + "\n"
+                             "bl loop\n"
+                             "halt\n");
+    };
+    const isa::Program shorter = looper(70);
+    const isa::Program longer = looper(200);
+    const StretchRun fast =
+        expectEqualStretchEngines({}, 100000, [&](sim::System &sys) {
+            for (TileId tile = 0; tile < 25; ++tile) {
+                const ThreadId first = tile % 2;
+                sys.loadProgram(tile, first, &shorter);
+                sys.loadProgram(tile, first ^ 1u, &longer);
+            }
+            return 0;
+        });
+    EXPECT_TRUE(fast.fp.allHalted);
+    EXPECT_GT(sumOf(fast.threadSwitches), 0u);
+}
+
+/** A checkpoint taken mid-run, while store retries are pending (a full
+ *  buffer and a thread waiting on its head), saves the same bytes on
+ *  both engines and resumes, on either engine, to the same end. */
+TEST(StretchEquivalence, CheckpointWithRetriesPending)
+{
+    const isa::Program pressure = isa::assemble(R"(
+        set 0, %r3
+    loop:
+        stx %r3, [%r1 + 0]
+        stx %r3, [%r1 + 8]
+        add %r3, 1, %r3
+        ldx [%r1 + 0], %r4
+        stx %r4, [%r1 + 64]
+        cmp %r3, 400
+        bl loop
+        halt
+    )");
+    const auto make = [&](bool fast_path, bool load) {
+        sim::SystemOptions opts;
+        opts.fastPath = fast_path;
+        auto sys = std::make_unique<sim::System>(opts);
+        if (load)
+            for (TileId tile = 0; tile < 25; ++tile)
+                for (ThreadId tid = 0; tid < 2; ++tid)
+                    sys->loadProgram(
+                        tile, tid, &pressure,
+                        {{1, 0x80000 + (tile * 2 + tid) * Addr{0x1000}}});
+        return sys;
+    };
+    // A retry is pending on a core when its buffer is full and a thread
+    // sits on a store, waiting past now.
+    const auto pending = [&](const arch::PitonChip &chip) {
+        int n = 0;
+        for (TileId tile = 0; tile < 25; ++tile) {
+            const arch::Core &core = chip.core(tile);
+            if (core.storeBufferDepth(chip.now())
+                < chip.params().storeBufferEntries)
+                continue;
+            for (ThreadId tid = 0; tid < 2; ++tid) {
+                const arch::ThreadState &t = core.thread(tid);
+                n += t.status == arch::ThreadStatus::Ready
+                     && t.readyAt > chip.now()
+                     && t.program->decoded(t.pc).kind
+                            == isa::IssueKind::Store;
+            }
+        }
+        return n;
+    };
+
+    const auto fast = make(true, true);
+    const auto legacy = make(false, true);
+    int splits_with_retries = 0;
+    std::vector<std::uint8_t> image;
+    for (const Cycle chunk : {37, 64, 101, 250, 513}) {
+        const auto rf = fast->pitonChip().run(chunk);
+        const auto rl = legacy->pitonChip().run(chunk);
+        const StretchRun f = stretchRun(fast->pitonChip(), rf);
+        expectEqualStretchRuns(f, stretchRun(legacy->pitonChip(), rl));
+        if (pending(fast->pitonChip()) > 0) {
+            ++splits_with_retries;
+            image = f.image;
+        }
+    }
+    ASSERT_GT(splits_with_retries, 0);
+
+    // Resume the last image with retries pending on each engine.
+    const auto rf = fast->pitonChip().run(1'000'000);
+    const StretchRun ref = stretchRun(fast->pitonChip(), rf);
+    EXPECT_TRUE(ref.fp.allHalted);
+    expectEqualStretchRuns(
+        ref, stretchRun(legacy->pitonChip(),
+                        legacy->pitonChip().run(1'000'000)));
+    for (const bool fast_path : {true, false}) {
+        SCOPED_TRACE(fast_path ? "resumed fast" : "resumed legacy");
+        const auto resumed = make(fast_path, false);
+        resumed->pitonChip().restoreBytes(image);
+        resumed->pitonChip().run(1'000'000);
+        const arch::PitonChip &chip = resumed->pitonChip();
+        EXPECT_EQ(chip.totalInsts(), ref.fp.totalInsts);
+        EXPECT_EQ(chip.now(), ref.fp.now);
+        StretchRun got = stretchRun(resumed->pitonChip(), {});
+        EXPECT_EQ(got.storeRollbacks, ref.storeRollbacks);
+        EXPECT_EQ(got.threadSwitches, ref.threadSwitches);
+        EXPECT_TRUE(got.image == ref.image);
+    }
+}
+
+/**
+ * Pause counters on the long_chip kernel (makePhasedEnergyProgram on
+ * 25 x 2, each thread on its private data page): every popped event is
+ * counted under exactly one cause, and a full-buffer rollback is never
+ * one of them — the kernel rolls back far more often than its stores
+ * pop, and stores pop at most once each.
+ */
+TEST(RunAheadPauses, FullBufferRollbacksNeverPop)
+{
+    sim::System sys;
+    arch::PitonChip &chip = sys.pitonChip();
+    const isa::Program kernel = workloads::makePhasedEnergyProgram(1);
+    for (TileId tile = 0; tile < 25; ++tile)
+        for (ThreadId tid = 0; tid < 2; ++tid)
+            sys.loadProgram(tile, tid, &kernel,
+                            {{1, workloads::kMixedDataBase
+                                     + (tile * 2 + tid) * Addr{4096}}});
+    ASSERT_TRUE(chip.run(100'000'000).allHalted);
+
+    using Cause = arch::Core::PauseCause;
+    std::uint64_t by_cause = 0;
+    for (std::size_t c = 0; c < arch::Core::kNumPauseCauses; ++c)
+        by_cause += chip.runAheadPops(static_cast<Cause>(c));
+    EXPECT_EQ(by_cause, chip.runAheadPops());
+    EXPECT_GE(chip.runAheadPops(Cause::RoundStart), chip.runAheadRounds());
+    EXPECT_EQ(chip.runAheadPops(Cause::Cas), 0u);
+    EXPECT_EQ(chip.runAheadPops(Cause::PcPastEnd), 0u);
+
+    // One pass: 300 memory-phase iterations of two loads and two
+    // stores on each of 50 threads.
+    const std::uint64_t stores = 50u * 300 * 2;
+    std::uint64_t rollbacks = 0;
+    for (TileId tile = 0; tile < 25; ++tile)
+        for (ThreadId tid = 0; tid < 2; ++tid)
+            rollbacks += chip.core(tile).thread(tid).storeRollbacks;
+    EXPECT_GT(rollbacks, stores);
+    EXPECT_LE(chip.runAheadPops(Cause::Store), stores);
+    EXPECT_LE(chip.runAheadPops(Cause::Load), stores);
+
+    // resetEnergy clears the counters with the round count.
+    sys.pitonChip().resetEnergy();
+    EXPECT_EQ(chip.runAheadPops(), 0u);
+    EXPECT_EQ(chip.runAheadPops(Cause::Store), 0u);
 }
 
 /** The telemetry pipeline samples ledger deltas per window; feeding it

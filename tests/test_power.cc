@@ -223,14 +223,16 @@ TEST(EnergyLedger, ReplayMatchesAddInCycleActorSequenceOrder)
 {
     // replayCaptures must perform exactly the adds in-order stepping
     // would: cycle-major, actor-minor, and within one (cycle, actor) in
-    // log order.  Logs with random sorted deltas (ties across actors
-    // and within an actor), a mix of Exec and other categories, and
-    // order-sensitive energies; two rounds so the second starts from
-    // non-zero sums.  Adding the same charges actor-major must give
-    // different bits in some trial, or the test could not tell a
-    // misordered replay from a correct one.
+    // log order, an entry flagged afterSwitch preceded by its log's
+    // switch charge (Exec).  Logs with random sorted deltas (ties
+    // across actors and within an actor), a mix of Exec and other
+    // categories, folded switches, and order-sensitive energies; two
+    // rounds so the second starts from non-zero sums.  Adding the same
+    // charges actor-major must give different bits in some trial, or
+    // the test could not tell a misordered replay from a correct one.
     Rng rng(0x5EED'0FF5);
     int order_sensitive = 0;
+    int folded = 0;
     for (int trial = 0; trial < 50; ++trial) {
         EnergyLedger replayed;
         EnergyLedger reference;
@@ -242,21 +244,27 @@ TEST(EnergyLedger, ReplayMatchesAddInCycleActorSequenceOrder)
         std::vector<ReplayCursor> cursors;
         for (int round = 0; round < 2; ++round) {
             const std::size_t actors = 1 + rng.below(8);
-            std::vector<std::vector<CapturedCharge>> logs(actors);
-            // Every charge in (actor, sequence) order; a stable sort by
-            // delta then gives the reference (delta, actor, sequence).
+            std::vector<ChargeLog> logs(actors);
+            // Every charge in (actor, sequence) order, a folded switch
+            // unfolded into its own charge; a stable sort by delta then
+            // gives the reference (delta, actor, sequence).
             std::vector<CapturedCharge> flat;
             for (std::size_t a = 0; a < actors; ++a) {
+                logs[a].switchE = randomCharge(rng);
                 const std::size_t len = rng.below(40); // may stay empty
                 std::uint32_t delta = static_cast<std::uint32_t>(
                     rng.below(4));
                 for (std::size_t q = 0; q < len; ++q) {
                     delta += static_cast<std::uint32_t>(rng.below(3));
-                    const auto cat = static_cast<std::uint8_t>(
+                    const auto cat = static_cast<std::uint16_t>(
                         rng.below(3) != 0 ? 0 : rng.below(kNumCategories));
-                    const CapturedCharge ch{randomCharge(rng), delta, cat};
-                    logs[a].push_back(ch);
-                    flat.push_back(ch);
+                    const bool sw = rng.below(2) == 0;
+                    const RailEnergy e = randomCharge(rng);
+                    logs[a].push(e, delta, cat, sw);
+                    if (sw)
+                        flat.push_back({logs[a].switchE, delta, 0});
+                    flat.push_back({e, delta, cat});
+                    folded += sw;
                 }
             }
             std::stable_sort(flat.begin(), flat.end(),
@@ -266,8 +274,11 @@ TEST(EnergyLedger, ReplayMatchesAddInCycleActorSequenceOrder)
                              });
             EnergyLedger actor_major = reference;
             for (const auto &log : logs)
-                for (const CapturedCharge &ch : log)
+                for (const CapturedCharge &ch : log) {
+                    if (ch.afterSwitch)
+                        actor_major.add(Category::Exec, log.switchE);
                     actor_major.add(static_cast<Category>(ch.cat), ch.e);
+                }
             replayed.replayCaptures(logs, cursors);
             for (const CapturedCharge &ch : flat)
                 reference.add(static_cast<Category>(ch.cat), ch.e);
@@ -277,6 +288,7 @@ TEST(EnergyLedger, ReplayMatchesAddInCycleActorSequenceOrder)
         }
     }
     EXPECT_GT(order_sensitive, 0);
+    EXPECT_GT(folded, 0);
 }
 
 TEST(EnergyModel, VioEventsHitOnlyVioRail)

@@ -321,8 +321,11 @@ fuzzIterations()
     return 240;
 }
 
+/** Adds to `fast_rollbacks` the full-buffer store rollbacks of the
+ *  fast reference run when it took the fast path (no Execution
+ *  Drafting). */
 void
-runOneSeed(std::uint64_t seed)
+runOneSeed(std::uint64_t seed, std::uint64_t &fast_rollbacks)
 {
     const isa::Program p = generateProgram(seed);
     Rng rng(seed ^ 0xD1B54A32D192ED03ULL);
@@ -338,6 +341,10 @@ runOneSeed(std::uint64_t seed)
     const FuzzFingerprint ref = fingerprint(fast.chip);
     ASSERT_LT(ref.now, kMaxCycles) << "program did not terminate\n"
                                    << disassemble(p, seed);
+    if (!drafting)
+        for (TileId t = 0; t < kTiles; ++t)
+            for (ThreadId tid = 0; tid < kThreadsPerCore; ++tid)
+                fast_rollbacks += fast.chip.core(t).thread(tid).storeRollbacks;
 
     // Legacy engine must agree bit-for-bit.
     ChipUnderTest legacy(&p, false, drafting);
@@ -366,11 +373,18 @@ runOneSeed(std::uint64_t seed)
 TEST(ProgramFuzz, DifferentialFastLegacyCheckpoint)
 {
     const unsigned iters = fuzzIterations();
+    std::uint64_t fast_rollbacks = 0;
     for (std::uint64_t seed = 1; seed <= iters; ++seed) {
         SCOPED_TRACE("fuzz seed " + std::to_string(seed));
-        runOneSeed(seed);
+        runOneSeed(seed, fast_rollbacks);
         if (::testing::Test::HasFatalFailure())
             return;
+    }
+    // The default corpus must reach the core-local stretch's
+    // full-buffer rollback (Core::runAhead) on the fast path, or the
+    // differential check above says nothing about it.
+    if (std::getenv("PITON_FUZZ_ITERS") == nullptr) {
+        EXPECT_GT(fast_rollbacks, 0u);
     }
 }
 

@@ -88,6 +88,30 @@ expect_usage_error "$bench/bench_ablation_sampling" \
 expect_usage_error "$build/examples/memory_hierarchy_probe" --tile 25
 expect_usage_error "$build/examples/epi_explorer" --samples -1
 
+# A path a binary cannot create or read ends it with one error line on
+# stderr and exit 1 (bench::guardedMain), keeping what it already
+# printed: fig16 prints its table before it exports.
+step "benches and examples: unusable paths exit 1"
+expect_runtime_error() {
+    local rc=0
+    timeout 120 "$@" >"$work/stdout" 2>"$work/stderr" || rc=$?
+    if [ "$rc" -ne 1 ] || [ ! -s "$work/stderr" ]; then
+        echo "expected exit 1 and an error line from: $*, got $rc" >&2
+        exit 1
+    fi
+}
+touch "$work/file"
+expect_runtime_error "$bench/bench_fig16_timeseries" --out "$work/file/x"
+if ! grep -q "Summary over" "$work/stdout"; then
+    echo "bench_fig16_timeseries lost its table on a bad --out" >&2
+    exit 1
+fi
+expect_runtime_error "$build/examples/export_open_data" "$work/file/y"
+expect_runtime_error "$bench/bench_ablation_warmstart" \
+    --resume-from "$work/missing.ckpt"
+expect_runtime_error "$bench/bench_governor_compare" \
+    --scenario "$work/missing.kv"
+
 # The daemon runs for the whole exchange; a sanitizer finding aborts
 # it, which fails the final `wait`.  The burst covers: liveness (ping),
 # deadline expiry of a queued request, cold/warm byte-identity
